@@ -23,7 +23,9 @@
 //  - A client thread parking on a frame first gives up its client gate
 //    (SimMutex::FullRelease) so the reactor can deliver callbacks into that
 //    client while it waits -- the real-clock equivalent of the simulation
-//    re-entering a client's handler in the middle of its own RPC.
+//    re-entering a client's handler in the middle of its own RPC. Server
+//    endpoints widen that release to the whole call (EndpointLock), so a
+//    client never waits for a node capability while holding its gate.
 //
 // Timeout contract: a waiter that gives up marks its frame *abandoned*
 // under the frame lock; the reactor skips abandoned frames entirely (the
@@ -71,38 +73,46 @@ class Transport {
                         uint64_t timeout_us) = 0;
 
   // The gate registered for `client`, or null if none (base transports keep
-  // no gate table). Lets GateGuard release a client capability over a scope
-  // wider than one parked frame.
+  // no gate table). Lets EndpointLock release a client capability over a
+  // scope wider than one parked frame.
   virtual SimMutex* GateFor(ClientId /*client*/) const { return nullptr; }
 };
 
-// Releases a client's gate for a whole scope instead of a single parked
-// frame. Failover probes need this: a probe can escalate into a takeover
-// whose recovery sweep re-enters every client inline on the reactor, and
-// peer probers serialize on the standby's capability while it runs -- so a
-// prober blocked there must not be holding its own client gate, or the
-// sweep deadlocks on it. No-op without a transport, on the reactor itself,
-// or when the calling thread does not hold the gate.
-class GateGuard {
+// The lock every server endpoint takes on its caller's thread: the caller's
+// client gate is released first (however deeply it was re-entered), then the
+// node capability is taken and held across the park; the gate comes back
+// after the node capability is dropped. A client thread therefore never
+// waits for a node while holding its own gate: the reactor may be inside
+// that node's frame, delivering callback or recovery traffic into this very
+// client (DESIGN.md section 17). The gate release is a no-op without a
+// transport, on the reactor itself, or when the calling thread does not
+// hold the gate.
+class FINELOG_SCOPED_CAPABILITY EndpointLock {
  public:
-  GateGuard(Transport* transport, ClientId client) {
-    if (transport == nullptr || transport->OnServerThread()) return;
-    gate_ = transport->GateFor(client);
-    if (gate_ != nullptr && gate_->HeldByMe()) {
-      depth_ = gate_->FullRelease();
-    } else {
-      gate_ = nullptr;
+  EndpointLock(SimMutex& mu, Transport* transport, ClientId client)
+      FINELOG_ACQUIRE(mu)
+      : mu_(mu) {
+    if (transport != nullptr && !transport->OnServerThread()) {
+      gate_ = transport->GateFor(client);
+      if (gate_ != nullptr && gate_->HeldByMe()) {
+        gate_depth_ = gate_->FullRelease();
+      } else {
+        gate_ = nullptr;
+      }
     }
+    mu_.lock();
   }
-  ~GateGuard() {
-    if (gate_ != nullptr) gate_->Reacquire(depth_);
+  ~EndpointLock() FINELOG_RELEASE() {
+    mu_.unlock();
+    if (gate_ != nullptr) gate_->Reacquire(gate_depth_);
   }
-  GateGuard(const GateGuard&) = delete;
-  GateGuard& operator=(const GateGuard&) = delete;
+  EndpointLock(const EndpointLock&) = delete;
+  EndpointLock& operator=(const EndpointLock&) = delete;
 
  private:
+  SimMutex& mu_;
   SimMutex* gate_ = nullptr;
-  int depth_ = 0;
+  int gate_depth_ = 0;
 };
 
 class QueueTransport final : public Transport {

@@ -121,17 +121,7 @@ Status Server::Crash() {
 Status Server::DropVolatileState() {
   crashed_ = true;
   dct_authoritative_ = false;
-  pool_->Clear();
-  glm_.Clear();
-  dct_.Clear();
-  token_holder_.clear();
-  // Lazy-recovery bookkeeping is volatile: a second crash mid-drain loses
-  // nothing, because the next Restart re-derives the task lists from the
-  // durable logs and the clients' DPTs.
-  page_rec_.clear();
-  rec_priority_.clear();
-  restart_begin_us_ = 0;
-  repair_depth_ = 0;
+  ClearVolatileState();
   // Deposed or stepping down: this node no longer serves any epoch.
   mastership_epoch_ = 0;
   mastership_valid_until_ = 0;
@@ -149,6 +139,22 @@ Status Server::DropVolatileState() {
   FINELOG_ASSIGN_OR_RETURN(
       log_, LogManager::Open(config_.dir + "/server.log", 0, LogIo()));
   return Status::OK();
+}
+
+void Server::ClearVolatileState() {
+  pool_->Clear();
+  glm_.Clear();
+  dct_.Clear();
+  token_holder_.clear();
+  // Deferred recoveries and the repair backlog are volatile too: a crash
+  // mid-drain loses nothing, because the next Restart re-derives both from
+  // the durable logs and the clients' DPTs. Keeping them would replay the
+  // same (client, page) pair once per restart.
+  deferred_recoveries_.clear();
+  page_rec_.clear();
+  rec_priority_.clear();
+  restart_begin_us_ = 0;
+  repair_depth_ = 0;
 }
 
 FINELOG_REPLAY_PATH("bootstrap preload: pages are formatted, filled and "
@@ -174,8 +180,11 @@ Status Server::Bootstrap(uint32_t n, uint32_t objects_per_page,
 
 BufferPool::EvictHandler Server::EvictHandler() {
   return [this](PageId pid, BufferPool::Frame& frame) -> Status {
-    // Recursive: the pool only calls back while an endpoint body holds the
-    // capability; the analysis can't see through the std::function.
+    // The pool only calls back from inside an endpoint body, whose parked
+    // submitter holds mu_ in real-clock mode: adopt it, then lock
+    // recursively so the analysis sees the capability it can't trace
+    // through the std::function (DESIGN.md section 17).
+    SimMutexAdopt adopt(mu_);
     SimMutexLock lock(mu_);
     if (!frame.dirty) return Status::OK();
     return WritePageToDisk(pid, frame);
@@ -495,7 +504,7 @@ Status Server::ApplyShippedPage(ClientId client, const ShippedPage& shipped,
 
 Result<ObjectLockReply> Server::LockObject(ClientId client, ObjectId oid,
                                            LockMode mode, Psn cached_psn) {
-  SimMutexLock lock(mu_);
+  EndpointLock lock(mu_, rpc_->transport(), client);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
       MakeOpts(RpcDir::kClientToServer, "lock_object", client,
@@ -514,7 +523,7 @@ Result<ObjectLockReply> Server::LockObject(ClientId client, ObjectId oid,
 
 Result<std::vector<ObjectLockOutcome>> Server::LockObjectBatch(
     ClientId client, const std::vector<ObjectLockRequest>& items) {
-  SimMutexLock lock(mu_);
+  EndpointLock lock(mu_, rpc_->transport(), client);
   if (crashed_) return Status::Crashed("server down");
   if (items.empty()) return std::vector<ObjectLockOutcome>{};
   return rpc_->Call(
@@ -627,7 +636,7 @@ Result<ObjectLockReply> Server::LockObjectInternal(ClientId client,
 
 Result<PageLockReply> Server::LockPage(ClientId client, PageId pid,
                                        LockMode mode, Psn cached_psn) {
-  SimMutexLock lock(mu_);
+  EndpointLock lock(mu_, rpc_->transport(), client);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
       MakeOpts(RpcDir::kClientToServer, "lock_page", client,
@@ -708,7 +717,7 @@ Result<PageLockReply> Server::LockPageBody(ClientId client, PageId pid,
 }
 
 Result<PageFetchReply> Server::FetchPage(ClientId client, PageId pid) {
-  SimMutexLock lock(mu_);
+  EndpointLock lock(mu_, rpc_->transport(), client);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
       MakeOpts(RpcDir::kClientToServer, "fetch_page", client,
@@ -726,7 +735,7 @@ Result<PageFetchReply> Server::FetchPage(ClientId client, PageId pid) {
 
 Result<std::vector<PageFetchReply>> Server::FetchPages(
     ClientId client, const std::vector<PageId>& pids) {
-  SimMutexLock lock(mu_);
+  EndpointLock lock(mu_, rpc_->transport(), client);
   if (crashed_) return Status::Crashed("server down");
   if (pids.empty()) return std::vector<PageFetchReply>{};
   return rpc_->Call(
@@ -765,7 +774,7 @@ Result<PageFetchReply> Server::FetchPageInternal(ClientId client, PageId pid,
 }
 
 Status Server::ShipPage(ClientId client, const ShippedPage& page) {
-  SimMutexLock lock(mu_);
+  EndpointLock lock(mu_, rpc_->transport(), client);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
       MakeOpts(RpcDir::kClientToServer, "ship_page", client,
@@ -782,7 +791,7 @@ Status Server::ShipPage(ClientId client, const ShippedPage& page) {
 
 Status Server::ShipPages(ClientId client,
                          const std::vector<ShippedPage>& pages) {
-  SimMutexLock lock(mu_);
+  EndpointLock lock(mu_, rpc_->transport(), client);
   if (crashed_) return Status::Crashed("server down");
   if (pages.empty()) return Status::OK();
   size_t bytes = 0;
@@ -805,7 +814,7 @@ Status Server::ShipPages(ClientId client,
 FINELOG_REPLAY_PATH("formats a fresh page whose PSN lineage lives in the "
                     "space map; the allocating client logs from there on")
 Result<AllocReply> Server::AllocatePage(ClientId client) {
-  SimMutexLock lock(mu_);
+  EndpointLock lock(mu_, rpc_->transport(), client);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
       MakeOpts(RpcDir::kClientToServer, "alloc_page", client,
@@ -839,7 +848,7 @@ Result<AllocReply> Server::AllocatePage(ClientId client) {
 }
 
 Status Server::ForcePage(ClientId client, PageId pid) {
-  SimMutexLock lock(mu_);
+  EndpointLock lock(mu_, rpc_->transport(), client);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
       MakeOpts(RpcDir::kClientToServer, "force_page", client,
@@ -876,7 +885,7 @@ Status Server::ForcePage(ClientId client, PageId pid) {
 Status Server::ReleaseLocks(ClientId client,
                             const std::vector<ObjectId>& objects,
                             const std::vector<PageId>& pages) {
-  SimMutexLock lock(mu_);
+  EndpointLock lock(mu_, rpc_->transport(), client);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
       MakeOpts(RpcDir::kClientToServer, "release_locks", client,
@@ -925,7 +934,7 @@ Status Server::ReleaseLocksBody(ClientId client,
 }
 
 Status Server::CommitShipLogs(ClientId client, size_t log_bytes) {
-  SimMutexLock lock(mu_);
+  EndpointLock lock(mu_, rpc_->transport(), client);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
       MakeOpts(RpcDir::kClientToServer, "commit_ship_logs", client,
@@ -946,7 +955,7 @@ Status Server::CommitShipLogs(ClientId client, size_t log_bytes) {
 
 Status Server::CommitShipPages(ClientId client,
                                const std::vector<ShippedPage>& pages) {
-  SimMutexLock lock(mu_);
+  EndpointLock lock(mu_, rpc_->transport(), client);
   if (crashed_) return Status::Crashed("server down");
   size_t bytes = 0;
   for (const ShippedPage& p : pages) bytes += p.wire_size();
@@ -968,7 +977,7 @@ Status Server::CommitShipPages(ClientId client,
 }
 
 Result<TokenReply> Server::AcquireToken(ClientId client, PageId pid) {
-  SimMutexLock lock(mu_);
+  EndpointLock lock(mu_, rpc_->transport(), client);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
       MakeOpts(RpcDir::kClientToServer, "acquire_token", client,
@@ -1110,7 +1119,7 @@ Status Server::FlushAllPages() {
 }
 
 Result<DctSnapshot> Server::RecGetMyDct(ClientId client) {
-  SimMutexLock lock(mu_);
+  EndpointLock lock(mu_, rpc_->transport(), client);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
       MakeOpts(RpcDir::kClientToServer, "rec_get_dct", client,
@@ -1127,7 +1136,7 @@ Result<DctSnapshot> Server::RecGetMyDct(ClientId client) {
 }
 
 Result<ClientRecoveryState> Server::RecGetMyXLocks(ClientId client) {
-  SimMutexLock lock(mu_);
+  EndpointLock lock(mu_, rpc_->transport(), client);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
       MakeOpts(RpcDir::kClientToServer, "rec_get_xlocks", client,
@@ -1152,7 +1161,7 @@ Result<ClientRecoveryState> Server::RecGetMyXLocks(ClientId client) {
 Result<ClientRecoveryState> Server::RecInstallLocks(
     ClientId client, const std::vector<ObjectId>& objects,
     const std::vector<PageId>& pages) {
-  SimMutexLock lock(mu_);
+  EndpointLock lock(mu_, rpc_->transport(), client);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
       MakeOpts(RpcDir::kClientToServer, "rec_install_locks", client,
@@ -1187,7 +1196,7 @@ Result<ClientRecoveryState> Server::RecInstallLocks(
 }
 
 Result<PageFetchReply> Server::RecFetchPage(ClientId client, PageId pid) {
-  SimMutexLock lock(mu_);
+  EndpointLock lock(mu_, rpc_->transport(), client);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
       MakeOpts(RpcDir::kClientToServer, "rec_fetch_page", client,
@@ -1243,7 +1252,7 @@ Result<PageFetchReply> Server::RecFetchPageBody(ClientId client, PageId pid,
 }
 
 Status Server::RecComplete(ClientId client) {
-  SimMutexLock lock(mu_);
+  EndpointLock lock(mu_, rpc_->transport(), client);
   if (crashed_) return Status::Crashed("server down");
   // Request-only exchange: completion is announced, never acknowledged.
   return rpc_->Call(
@@ -1298,7 +1307,7 @@ Status Server::RecComplete(ClientId client) {
 }
 
 Status Server::Heartbeat(ClientId client) {
-  SimMutexLock lock(mu_);
+  EndpointLock lock(mu_, rpc_->transport(), client);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
       MakeOpts(RpcDir::kClientToServer, "heartbeat", client,
@@ -1450,17 +1459,11 @@ Status Server::MastershipAdmission() {
 }
 
 Result<uint64_t> Server::FailoverProbe(ClientId client) {
-  // The probe follows the standard endpoint protocol -- mu_ taken on the
-  // calling thread, held cooperatively across the park -- because the
-  // reactor must never acquire a node capability inside a frame body (the
-  // holder's own frame could be queued behind it: priority inversion until
-  // the holder's timeout). But unlike data endpoints, a probe can escalate
-  // into a takeover whose Rec sweep re-enters every client inline on the
-  // reactor, while peer probers are blocked right here on mu_. Releasing
-  // the prober's own gate for the whole probe (not just the parked frame)
-  // keeps those blocked peers from wedging the sweep.
-  GateGuard gate(rpc_->transport(), client);
-  SimMutexLock lock(mu_);
+  // An ordinary endpoint, although it can escalate into a takeover whose
+  // restart drain re-enters every client inline on the reactor: the
+  // replays' calls back into this node recurse through ReplayClientLog's
+  // adoption of mu_ (DESIGN.md section 19).
+  EndpointLock lock(mu_, rpc_->transport(), client);
   if (halted_) return Status::Crashed("standby node down");
   if (mastership_ == nullptr) {
     return Status::FailedPrecondition("mastership not configured");
@@ -1469,12 +1472,6 @@ Result<uint64_t> Server::FailoverProbe(ClientId client) {
       MakeOpts(RpcDir::kClientToServer, "failover_probe", client,
                MessageType::kFailoverProbe, 1, kSmallMsg),
       [&](RpcReply* rep) -> Result<uint64_t> {
-        // The body may escalate into TakeOver -> Restart, whose Rec sweep
-        // re-enters this node's endpoints from client handlers (a fetched
-        // page ships back through ShipPage). Those re-entries must see the
-        // executing thread as mu_'s owner -- in real-clock mode that is the
-        // reactor, while the parked prober is the nominal holder.
-        SimMutexAdopt adopt(mu_);
         metrics_->Add(Counter::kFailoverProbes);
         rep->Set(MessageType::kFailoverProbeReply, kSmallMsg);
         const uint64_t now = channel_->clock()->now_us();
@@ -1516,14 +1513,7 @@ Status Server::TakeOver(const MastershipTable::Grant& grant) {
   FINELOG_ASSIGN_OR_RETURN(
       log_, LogManager::Open(config_.dir + "/server.log", 0, LogIo()));
   store_open_ = true;
-  pool_->Clear();
-  glm_.Clear();
-  dct_.Clear();
-  token_holder_.clear();
-  page_rec_.clear();
-  rec_priority_.clear();
-  repair_depth_ = 0;
-  restart_begin_us_ = 0;
+  ClearVolatileState();
   halted_ = false;
   mastership_epoch_ = grant.epoch;
   mastership_valid_until_ = grant.valid_until_us;

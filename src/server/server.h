@@ -346,7 +346,8 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
   // Installs a won grant: reopens the store fresh (the deposed peer wrote
   // through its own handles), drops all volatile state, and runs restart
   // recovery, which reconstructs the DCT from the durable store plus client
-  // logs and arms the configured (eager or instant-restart) repair policy.
+  // logs and drains the repair backlog before admission unless
+  // instant_restart is set.
   Status TakeOver(const MastershipTable::Grant& grant) FINELOG_REQUIRES(mu_);
 
   // Restart body for callers that already hold mu_. TakeOver runs inside a
@@ -357,6 +358,11 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
   // Drops to cold standby: volatile protocol state gone, store handles
   // released, crashed_ set. Shared tail of Crash() and StepDown().
   Status DropVolatileState() FINELOG_REQUIRES(mu_);
+
+  // Clears the volatile protocol state every restart re-derives: buffer
+  // pool, GLM, DCT, update tokens, deferred recoveries and the restart
+  // repair backlog. Shared by DropVolatileState() and TakeOver().
+  void ClearVolatileState() FINELOG_REQUIRES(mu_);
 
   // Primary-side replication: mirrors a just-forced membership record /
   // checkpoint marker to the standby through the Rpc chokepoint. No-ops
@@ -406,15 +412,24 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
   Status ReconstructDct(const std::map<ClientId, ClientRecoveryState>& states,
                         std::map<PageId, std::set<ClientId>>* to_recover)
       FINELOG_REQUIRES(mu_);
+  // One coordinated replay task: CoordinatePageRecovery refuses while
+  // `client` is down (the caller defers the pair to its RecComplete);
+  // ReplayClientLog sends the base image and DCT baseline and has `client`
+  // replay its log, stopping before `up_to` (kNullPsn = everything).
   Status CoordinatePageRecovery(PageId pid, ClientId client)
       FINELOG_REQUIRES(mu_);
+  Status ReplayClientLog(PageId pid, ClientId client, Psn up_to)
+      FINELOG_REQUIRES(mu_);
+  // The image a replay starts from: the server's copy, or a page formatted
+  // at its allocation PSN when it never reached the disk (NotFound only).
+  Result<std::string> ReplayBaseImage(PageId pid) FINELOG_REQUIRES(mu_);
   Result<std::vector<CallbackListEntry>> CollectCallbackList(PageId pid,
                                                              ClientId client)
       FINELOG_REQUIRES(mu_);
 
-  // Instant restart internals (DESIGN.md section 18), defined in
-  // server_recovery.cc. All no-ops once page_rec_ is empty, so the default
-  // (eager) configuration keeps a byte-identical schedule.
+  // Restart repair internals (DESIGN.md section 18), defined in
+  // server_recovery.cc. Every restart fills page_rec_; all of these are
+  // no-ops once it is empty.
 
   // True while `pid` still owes restart repair work.
   bool PageRecoveryPending(PageId pid) const FINELOG_REQUIRES(mu_) {
@@ -437,8 +452,9 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
   // remaining tasks are kept and the page re-queued for the sweep.
   Status RepairPage(PageId pid, bool demand) FINELOG_REQUIRES(mu_);
 
-  // Restart step 4 for one (page, client): callback-list collection plus the
-  // client's cached copy, merged without advancing its DCT baseline.
+  // Restart cache pull for one (page, client): callback-list collection plus
+  // the client's cached copy, merged without advancing its DCT baseline.
+  // NotFound when the client no longer caches the page.
   Status PullCachedPage(PageId pid, ClientId client) FINELOG_REQUIRES(mu_);
 
   // Discards the suspect merged copy and rebuilds `pid` from its durable
@@ -456,6 +472,11 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
   // Opportunistically drains up to recovery_sweep_batch pages after an
   // admitted request; stops at the first degraded repair.
   void MaybeBackgroundSweep() FINELOG_REQUIRES(mu_);
+
+  // Repairs up to `max_pages` pending pages in sweep order; returns the
+  // first degraded or hard status. Shared by the eager restart drain, the
+  // background sweep and SweepRecovery.
+  Status DrainBacklog(uint32_t max_pages) FINELOG_REQUIRES(mu_);
 
   // Emits recovery.time_to_fully_recovered_us once the backlog drains.
   void FinishLazyRecovery() FINELOG_REQUIRES(mu_);
@@ -521,11 +542,10 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
   std::vector<std::pair<ClientId, PageId>> deferred_recoveries_
       FINELOG_GUARDED_BY(mu_);
 
-  // Instant restart (DESIGN.md section 18): per-page recovery state machine.
+  // Restart repair (DESIGN.md section 18): per-page recovery state machine.
   // A page is *clean* when absent from page_rec_; otherwise it still owes
   // part of the Sections 3.4-3.5 restart work, held as an ordered task list
-  // (cache pulls before log replays, client id order within each kind --
-  // the same order the eager sweep used).
+  // (cache pulls before log replays, client id order within each kind).
   enum class PageRecState : uint8_t {
     kNeedsRecovery,  // Tasks pending; first touch triggers demand repair.
     kRecovering,     // Repair in flight; the page's own Rec traffic passes.
@@ -548,7 +568,7 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
   // made by a repair (the client ships the recovered page back through
   // ShipPage) must not start another sweep.
   int repair_depth_ FINELOG_GUARDED_BY(mu_) = 0;
-  // Clock at the restart that armed lazy recovery; 0 once fully recovered.
+  // Clock at the restart that filled page_rec_; 0 once fully recovered.
   uint64_t restart_begin_us_ FINELOG_GUARDED_BY(mu_) = 0;
 
   uint64_t disk_reads_ FINELOG_GUARDED_BY(mu_) = 0;

@@ -12,11 +12,15 @@
 //     PSNs, and scan the server log from the checkpoint's minimum RedoLSN;
 //     a replacement record whose PSN equals the on-disk PSN of the page
 //     fixes the per-client PSNs (Property 2).
-//  4. Pull dirty cached pages from operational clients and merge them.
-//  5. Coordinate per-(page, client) recovery: collect CallBack_P lists from
-//     the other clients, send the base copy with the DCT PSN, and let the
-//     client replay its private log. Recoveries that depend on a crashed
-//     client are deferred until that client completes restart (Section 3.5).
+//  4. Mark every page owing work with an ordered task list: pull the dirty
+//     copies still cached at operational clients, then coordinate
+//     per-(page, client) recovery -- collect CallBack_P lists from the other
+//     clients, send the base copy with the DCT PSN, and let the client
+//     replay its private log. Recoveries that depend on a crashed client are
+//     deferred until that client completes restart (Section 3.5).
+//  5. Drain the task lists: before admission opens (the default), or on
+//     demand and in the background after it (instant_restart, DESIGN.md
+//     section 18).
 
 #include "server/server.h"
 
@@ -69,80 +73,42 @@ Status Server::RestartLocked() {
   std::map<PageId, std::set<ClientId>> to_recover;
   FINELOG_RETURN_IF_ERROR(ReconstructDct(states, &to_recover));
 
-  if (config_.instant_restart) {
-    // Lazy arm (DESIGN.md section 18): the GLM, membership and DCT are fully
-    // authoritative at this point -- that is the whole safety argument -- so
-    // admission opens now and steps 4-5 become the per-page task lists the
-    // endpoint guards and the background sweep drain on demand. Per page the
-    // task order matches the eager sweep: cache pulls first, then
-    // coordinated log replays, client id order within each kind.
-    page_rec_.clear();
-    rec_priority_.clear();
-    for (const auto& [cid, state] : states) {
-      std::set<PageId> cached(state.cached_pages.begin(),
-                              state.cached_pages.end());
-      for (const DptEntry& d : state.dpt) {
-        if (cached.count(d.page) == 0) continue;
-        page_rec_[d.page].tasks.push_back(PageRecTask{cid, true});
-      }
-    }
-    for (const auto& [pid, involved] : to_recover) {
-      for (ClientId cid : involved) {
-        page_rec_[pid].tasks.push_back(PageRecTask{cid, false});
-      }
-    }
-    restart_begin_us_ = t0;
-    metrics_->Add(Counter::kRecoveryPagesMarked, page_rec_.size());
-    metrics_->SetMax(Counter::kRecoveryPagesPendingHighWater,
-                     page_rec_.size());
-    metrics_->Add(Counter::kRecoveryTimeToFirstAdmitUs,
-                  channel_->clock()->now_us() - t0);
-    if (page_rec_.empty()) FinishLazyRecovery();
-    return Status::OK();
-  }
-
-  // Step 4: merge dirty pages still cached at operational clients.
+  // Step 4: per-page task lists (DESIGN.md section 18). The GLM, membership
+  // and DCT are fully authoritative at this point -- that is the whole
+  // safety argument -- so the endpoint guards can repair a page on first
+  // touch. Per page, cache pulls run first, then coordinated log replays,
+  // client id order within each kind.
+  page_rec_.clear();
+  rec_priority_.clear();
   for (const auto& [cid, state] : states) {
     std::set<PageId> cached(state.cached_pages.begin(),
                             state.cached_pages.end());
     for (const DptEntry& d : state.dpt) {
       if (cached.count(d.page) == 0) continue;
-      auto suppress = CollectCallbackList(d.page, cid);
-      if (!suppress.ok()) return suppress.status();
-      const ClientId owner = cid;
-      const PageId page = d.page;
-      auto shipped = rpc_->Call(
-          RecOpts(RpcDir::kServerToClient, "rec_fetch_cached_page", owner,
-                  MessageType::kRecFetchCachedPage, kSmallMsg),
-          [&](RpcReply* rep) -> Result<ShippedPage> {
-            auto sp = clients_.at(owner)->HandleRecFetchCachedPage(
-                page, suppress.value());
-            if (sp.ok()) {
-              rep->Set(MessageType::kRecCachedPageReply,
-                       sp.value().wire_size());
-            }
-            return sp;
-          });
-      if (!shipped.ok()) {
-        if (shipped.status().IsNotFound()) continue;
-        return shipped.status();
-      }
-      FINELOG_RETURN_IF_ERROR(
-          ApplyShippedPage(cid, shipped.value(), /*update_dct_psn=*/false));
+      page_rec_[d.page].tasks.push_back(PageRecTask{cid, true});
     }
   }
-
-  // Step 5: coordinate recovery of every (page, client) pair.
   for (const auto& [pid, involved] : to_recover) {
     for (ClientId cid : involved) {
-      Status st = CoordinatePageRecovery(pid, cid);
-      if (st.IsCrashed() || st.IsWouldBlock()) {
-        deferred_recoveries_.emplace_back(cid, pid);
-      } else if (!st.ok()) {
-        return st;
-      }
+      page_rec_[pid].tasks.push_back(PageRecTask{cid, false});
     }
   }
+  restart_begin_us_ = t0;
+  metrics_->Add(Counter::kRecoveryPagesMarked, page_rec_.size());
+  metrics_->SetMax(Counter::kRecoveryPagesPendingHighWater, page_rec_.size());
+  if (page_rec_.empty()) FinishLazyRecovery();
+
+  // Step 5: instant_restart only decides when admission opens. Without it
+  // the whole backlog drains first, in sweep order. A repair that degrades
+  // (network, an unreachable dependency) ends the drain early: that page and
+  // the rest stay pending behind the endpoint guards, exactly as after an
+  // instant restart. A hard error fails the restart.
+  if (!config_.instant_restart) {
+    Status drained = DrainBacklog(static_cast<uint32_t>(-1));
+    if (!drained.ok() && !drained.IsWouldBlock()) return drained;
+  }
+  metrics_->Add(Counter::kRecoveryTimeToFirstAdmitUs,
+                channel_->clock()->now_us() - t0);
   return Status::OK();
 }
 
@@ -323,44 +289,64 @@ Result<std::vector<CallbackListEntry>> Server::CollectCallbackList(
   return out;
 }
 
-FINELOG_REPLAY_PATH("recovery plane: base images come from disk or a "
-                    "formatted page; the client's log drives the replay")
 Status Server::CoordinatePageRecovery(PageId pid, ClientId client) {
   if (ClientUnreachable(client)) {
     return Status::Crashed("client still down");
   }
+  Status st = ReplayClientLog(pid, client, kNullPsn);
+  metrics_->Add(Counter::kServerCoordinatedPageRecoveries);
+  return st;
+}
+
+FINELOG_REPLAY_PATH("recovery plane: base images come from disk or a "
+                    "formatted page; the client's log drives the replay")
+Result<std::string> Server::ReplayBaseImage(PageId pid) {
+  auto frame = GetPage(pid);
+  if (frame.ok()) return frame.value()->page.raw();
+  // Only a page that was never written falls back to a formatted copy at
+  // its allocation PSN. A corrupt or short read must surface: replaying onto
+  // a blank page would silently drop every update the disk copy holds.
+  if (!frame.status().IsNotFound()) return frame.status();
+  auto base = space_map_->BasePsn(pid);
+  if (!base.ok()) return base.status();
+  Page page(config_.page_size);
+  page.Format(pid, base.value());
+  return page.raw();
+}
+
+Status Server::ReplayClientLog(PageId pid, ClientId client, Psn up_to) {
+  auto cit = clients_.find(client);
+  if (cit == clients_.end()) {
+    return Status::Internal("unknown client in page recovery");
+  }
+  ClientEndpoint* endpoint = cit->second;
   auto list = CollectCallbackList(pid, client);
   if (!list.ok()) return list.status();
-
-  std::string base_image;
-  auto frame = GetPage(pid);
-  if (frame.ok()) {
-    base_image = frame.value()->page.raw();
-  } else if (frame.status().IsNotFound()) {
-    auto base = space_map_->BasePsn(pid);
-    if (!base.ok()) return base.status();
-    Page page(config_.page_size);
-    page.Format(pid, base.value());
-    base_image = page.raw();
-  } else {
-    return frame.status();
-  }
+  auto base_image = ReplayBaseImage(pid);
+  if (!base_image.ok()) return base_image.status();
   auto entry = dct_.Get(pid, client);
   Psn base_psn = (entry && entry->psn != kNullPsn) ? entry->psn : kNullPsn;
 
-  Status st = rpc_->Call(
+  // The replay re-enters this node from the client's handler: the recovered
+  // copy ships back through ShipPage, a hand-off record asks for an ordered
+  // fetch. In real-clock mode the handler runs inline on the reactor while
+  // the parked submitter of the current frame nominally holds mu_, so the
+  // body adopts mu_ for the call and those re-entries recurse instead of
+  // deadlocking (DESIGN.md section 17).
+  SimMutexAdopt adopt(mu_);
+  return rpc_->Call(
       RecOpts(RpcDir::kServerToClient, "rec_recover_page", client,
-              MessageType::kRecRecoverPage, base_image.size() + kSmallMsg),
+              MessageType::kRecRecoverPage,
+              base_image.value().size() + kSmallMsg),
       [&](RpcReply* rep) -> Status {
-        Status s = clients_.at(client)->HandleRecRecoverPage(
-            pid, list.value(), base_image, base_psn, kNullPsn);
+        Status s = endpoint->HandleRecRecoverPage(pid, list.value(),
+                                                  base_image.value(), base_psn,
+                                                  up_to);
         // The completion reply is sent (and counted) even when replay fails:
         // the client reports the failure back to the coordinator.
         rep->Set(MessageType::kRecRecoverPageReply, kSmallMsg);
         return s;
       });
-  metrics_->Add(Counter::kServerCoordinatedPageRecoveries);
-  return st;
 }
 
 Status Server::ReloadMembership() {
@@ -394,7 +380,7 @@ Status Server::ReloadMembership() {
 
 Result<std::vector<CallbackListEntry>> Server::RecGetCallbackList(
     ClientId client, PageId pid) {
-  SimMutexLock lock(mu_);
+  EndpointLock lock(mu_, rpc_->transport(), client);
   if (crashed_) return Status::Crashed("server down");
   return rpc_->Call(
       RecOpts(RpcDir::kClientToServer, "rec_get_callback_list", client,
@@ -413,7 +399,7 @@ Result<std::vector<CallbackListEntry>> Server::RecGetCallbackList(
 
 Result<PageFetchReply> Server::RecOrderedFetch(ClientId client, PageId pid,
                                                ClientId other, Psn psn) {
-  SimMutexLock lock(mu_);
+  EndpointLock lock(mu_, rpc_->transport(), client);
   return rpc_->Call(
       RecOpts(RpcDir::kClientToServer, "rec_ordered_fetch", client,
               MessageType::kRecOrderedFetch, kSmallMsg),
@@ -422,8 +408,6 @@ Result<PageFetchReply> Server::RecOrderedFetch(ClientId client, PageId pid,
       });
 }
 
-FINELOG_REPLAY_PATH("recovery plane: ordered fetch rebuilds the base "
-                    "image the requester then replays its own log onto")
 Result<PageFetchReply> Server::RecOrderedFetchBody(ClientId client, PageId pid,
                                                    ClientId other, Psn psn,
                                                    RpcReply* rep) {
@@ -446,61 +430,13 @@ Result<PageFetchReply> Server::RecOrderedFetchBody(ClientId client, PageId pid,
       rep->Set(MessageType::kRecOrderedFetchReply, kSmallMsg);
       return Status::Crashed("ordering dependency on crashed client");
     }
-    auto oit = clients_.find(other);
-    if (oit == clients_.end()) {
-      return Status::Internal("unknown client in ordered fetch");
-    }
     // If `other` still has the page cached, its copy is complete: pull it.
-    auto suppress = CollectCallbackList(pid, other);
-    if (!suppress.ok()) return suppress.status();
-    ClientEndpoint* responder = oit->second;
-    auto shipped = rpc_->Call(
-        RecOpts(RpcDir::kServerToClient, "rec_fetch_cached_page", other,
-                MessageType::kRecFetchCachedPage, kSmallMsg),
-        [&](RpcReply* irep) -> Result<ShippedPage> {
-          auto sp = responder->HandleRecFetchCachedPage(pid, suppress.value());
-          if (sp.ok()) {
-            irep->Set(MessageType::kRecCachedPageReply,
-                      sp.value().wire_size());
-          }
-          return sp;
-        });
-    if (shipped.ok()) {
-      FINELOG_RETURN_IF_ERROR(
-          ApplyShippedPage(other, shipped.value(), /*update_dct_psn=*/false));
-    } else if (shipped.status().IsNotFound()) {
-      // `other` is recovering the page in parallel: ask it to process all
-      // records with PSN < `psn` first (Section 3.4, last paragraph).
-      auto list = CollectCallbackList(pid, other);
-      if (!list.ok()) return list.status();
-      std::string base_image;
-      auto frame = GetPage(pid);
-      if (frame.ok()) {
-        base_image = frame.value()->page.raw();
-      } else {
-        auto base = space_map_->BasePsn(pid);
-        if (!base.ok()) return base.status();
-        Page page(config_.page_size);
-        page.Format(pid, base.value());
-        base_image = page.raw();
-      }
-      auto oentry = dct_.Get(pid, other);
-      Psn base_psn = (oentry && oentry->psn != kNullPsn) ? oentry->psn : kNullPsn;
-      Status st = rpc_->Call(
-          RecOpts(RpcDir::kServerToClient, "rec_recover_page", other,
-                  MessageType::kRecRecoverPage, base_image.size() + kSmallMsg),
-          [&](RpcReply* irep) -> Status {
-            Status s = responder->HandleRecRecoverPage(
-                pid, list.value(), base_image, base_psn, psn);
-            // Completion reply is sent even when replay fails (see
-            // CoordinatePageRecovery).
-            irep->Set(MessageType::kRecRecoverPageReply, kSmallMsg);
-            return s;
-          });
-      if (!st.ok()) return st;
-    } else {
-      return shipped.status();
-    }
+    // Otherwise `other` is recovering the page in parallel: ask it to
+    // process all records with PSN < `psn` first (Section 3.4, last
+    // paragraph).
+    Status pulled = PullCachedPage(pid, other);
+    if (pulled.IsNotFound()) pulled = ReplayClientLog(pid, other, psn);
+    if (!pulled.ok()) return pulled;
   }
 
   PageFetchReply reply;
@@ -574,11 +510,14 @@ Status Server::RepairPage(PageId pid, bool demand) {
       // is covered by its replay task (or its own restart). Nothing to pull.
       st = ClientUnreachable(t.client) ? Status::OK()
                                        : PullCachedPage(pid, t.client);
+      // Evicted since restart marked the task: the replay task and flush
+      // notifications cover whatever the cache no longer holds.
+      if (st.IsNotFound()) st = Status::OK();
     } else {
       st = CoordinatePageRecovery(pid, t.client);
       if (st.IsCrashed()) {
-        // Same deferral the eager sweep used: retried at the client's
-        // RecComplete; meanwhile CheckPageReachable quarantines the page.
+        // Section 3.5 deferral: retried at the client's RecComplete;
+        // meanwhile CheckPageReachable quarantines the page.
         deferred_recoveries_.emplace_back(t.client, pid);
         st = Status::OK();
       }
@@ -635,7 +574,7 @@ Status Server::PullCachedPage(PageId pid, ClientId client) {
   if (!suppress.ok()) return suppress.status();
   auto cit = clients_.find(client);
   if (cit == clients_.end()) {
-    return Status::Internal("unknown client in lazy cache pull");
+    return Status::Internal("unknown client in cache pull");
   }
   ClientEndpoint* endpoint = cit->second;
   auto shipped = rpc_->Call(
@@ -648,12 +587,7 @@ Status Server::PullCachedPage(PageId pid, ClientId client) {
         }
         return sp;
       });
-  if (!shipped.ok()) {
-    // Evicted (or crashed) since restart marked the task: the replay task
-    // and flush notifications cover whatever the cache no longer holds.
-    if (shipped.status().IsNotFound()) return Status::OK();
-    return shipped.status();
-  }
+  if (!shipped.ok()) return shipped.status();
   return ApplyShippedPage(client, shipped.value(), /*update_dct_psn=*/false);
 }
 
@@ -772,15 +706,19 @@ bool Server::PickSweepPage(PageId* out) {
 
 void Server::MaybeBackgroundSweep() {
   if (page_rec_.empty() || repair_depth_ > 0) return;
-  uint32_t budget = std::max<uint32_t>(1, config_.recovery_sweep_batch);
+  // Opportunistic: a degraded (or deliberately interrupted) repair ends this
+  // round -- the page re-queued itself at the front of rec_priority_ -- and
+  // hard errors are left for the next demand touch to surface.
+  (void)DrainBacklog(std::max<uint32_t>(1, config_.recovery_sweep_batch));
+}
+
+Status Server::DrainBacklog(uint32_t max_pages) {
   PageId pick;
+  uint32_t budget = max_pages;
   while (budget-- > 0 && !page_rec_.empty() && PickSweepPage(&pick)) {
-    // A degraded (or deliberately interrupted) repair ends this round; the
-    // page re-queued itself at the front of rec_priority_. Hard errors are
-    // also left for the next demand touch to surface -- the sweep is
-    // opportunistic.
-    if (!AttemptPageRepair(pick, /*demand=*/false).ok()) return;
+    FINELOG_RETURN_IF_ERROR(AttemptPageRepair(pick, /*demand=*/false));
   }
+  return Status::OK();
 }
 
 void Server::FinishLazyRecovery() {
@@ -793,12 +731,7 @@ void Server::FinishLazyRecovery() {
 Status Server::SweepRecovery(uint32_t max_pages) {
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("server down");
-  PageId pick;
-  uint32_t budget = max_pages;
-  while (budget-- > 0 && !page_rec_.empty() && PickSweepPage(&pick)) {
-    FINELOG_RETURN_IF_ERROR(AttemptPageRepair(pick, /*demand=*/false));
-  }
-  return Status::OK();
+  return DrainBacklog(max_pages);
 }
 
 }  // namespace finelog

@@ -59,6 +59,9 @@ class ExecModeTest : public ::testing::TestWithParam<ExecMode> {
     for (auto& t : threads) t.join();
   }
 
+  // Hot-standby primary kill between two commit phases (defined below).
+  void FailoverSmoke(bool instant_restart);
+
   // Moves time forward `us` microseconds: by advancing the SimClock, or by
   // actually waiting for the wall clock.
   void PassTime(System* system, uint64_t us) {
@@ -253,8 +256,14 @@ TEST_P(ExecModeTest, ContendedPagesSerializeThroughCallbacks) {
   EXPECT_EQ(verified, static_cast<int>(system->num_clients()) * 2);
 }
 
-TEST_P(ExecModeTest, HotStandbyFailoverServesThroughPrimaryKill) {
-  SystemConfig config = Config("rc_failover");
+// The primary dies between two commit phases; the second phase's first
+// requests probe the standby, which takes over. With instant_restart off the
+// takeover drains the whole repair backlog inside the winning probe, while
+// the other client threads queue for the standby.
+void ExecModeTest::FailoverSmoke(bool instant_restart) {
+  SystemConfig config =
+      Config(instant_restart ? "rc_failover_lazy" : "rc_failover");
+  config.instant_restart = instant_restart;
   config.hot_standby = true;
   config.mastership_lease_us = 30 * 1000;
   config.failover_timeout_us = 4000;
@@ -324,6 +333,84 @@ TEST_P(ExecModeTest, HotStandbyFailoverServesThroughPrimaryKill) {
     EXPECT_EQ(post.value(),
               std::string(64, static_cast<char>('n' + kTxnsPerPhase - 1)));
     EXPECT_TRUE(c.Commit(probe).ok());
+  }
+}
+
+TEST_P(ExecModeTest, HotStandbyFailoverServesThroughPrimaryKill) {
+  FailoverSmoke(/*instant_restart=*/false);
+}
+
+TEST_P(ExecModeTest, HotStandbyLazyFailoverServesThroughPrimaryKill) {
+  FailoverSmoke(/*instant_restart=*/true);
+}
+
+// After an instant restart every client reads its neighbour's objects from
+// its own thread at once, so every read needs a lock callback and a page
+// fetch. Each such request repairs an unrecovered page inside the reading
+// client's frame (the page it touches, or the one the background sweep
+// picks next). The repair asks clients, possibly the reader itself, to
+// replay their logs, and each replay ships the page back into the node the
+// frame is running in. The server cache holds fewer pages than the backlog,
+// so merges also evict (and write back) inside those frames.
+TEST_P(ExecModeTest, InstantRestartClientThreadsRepairOnFirstRead) {
+  SystemConfig config = Config("rc_instant_read");
+  config.instant_restart = true;
+  config.server_cache_pages = 2;
+  auto system = System::Create(config).value();
+  const size_t n = system->num_clients();
+  const PageId shared = static_cast<PageId>(n);
+
+  auto value = [](size_t i, char tag) {
+    return std::string(64, static_cast<char>(tag + i));
+  };
+  std::atomic<int> failures{0};
+  // Each client writes its own page and its own slot of a shared page.
+  PerClient(n, [&](size_t i) {
+    Client& c = system->client(i);
+    auto txn = c.Begin();
+    if (!txn.ok() ||
+        !c.Write(txn.value(), ObjectId{static_cast<PageId>(i), 0},
+                 value(i, 'a'))
+             .ok() ||
+        !c.Write(txn.value(), ObjectId{shared, static_cast<SlotId>(i)},
+                 value(i, 'A'))
+             .ok() ||
+        !c.Commit(txn.value()).ok()) {
+      failures.fetch_add(1);
+    }
+  });
+  ASSERT_EQ(failures.load(), 0);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(system->client(i).ShipAllDirtyPages().ok());
+  }
+  ASSERT_TRUE(system->CrashServer().ok());
+  ASSERT_TRUE(system->RecoverServer().ok());
+  ASSERT_GT(system->RecoveryPagesPending(), 0u);
+  const uint64_t repaired0 =
+      system->metrics().Get(Counter::kRecoveryPagesRepaired);
+
+  PerClient(n, [&](size_t i) {
+    Client& c = system->client(i);
+    const size_t next = (i + 1) % n;
+    auto txn = c.Begin();
+    if (!txn.ok()) { failures.fetch_add(1); return; }
+    auto page = c.Read(txn.value(), ObjectId{static_cast<PageId>(next), 0});
+    auto slot =
+        c.Read(txn.value(), ObjectId{shared, static_cast<SlotId>(next)});
+    if (!page.ok() || page.value() != value(next, 'a') || !slot.ok() ||
+        slot.value() != value(next, 'A') || !c.Commit(txn.value()).ok()) {
+      failures.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(failures.load(), 0);
+  // Demand repair or the sweep it triggers: either runs in a client frame.
+  EXPECT_GT(system->metrics().Get(Counter::kRecoveryPagesRepaired),
+            repaired0);
+  ASSERT_TRUE(system->DrainRecovery().ok());
+  EXPECT_EQ(system->RecoveryPagesPending(), 0u);
+  EXPECT_GT(system->server().disk_writes(), 0u);
+  if (real()) {
+    EXPECT_EQ(system->transport()->frames_abandoned(), 0u);
   }
 }
 

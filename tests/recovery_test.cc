@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+
 #include "core/system.h"
 #include "tests/test_util.h"
 
@@ -342,6 +345,71 @@ TEST_F(RecoveryTest, ComplexCrashOrderingDependencyOnCrashedClient) {
   ASSERT_TRUE(system_->CrashServer().ok());
   ASSERT_TRUE(system_->RecoverAll().ok());
   EXPECT_EQ(ReadCommitted(2, ObjectId{PageId(4), 0}), v1);
+}
+
+TEST_F(RecoveryTest, DeferredReplayRunsOnceAfterRepeatedServerCrashes) {
+  // The ComplexCrashOrderingDependencyOnCrashedClient setup, but the server
+  // crashes and restarts N times while c0 stays down. Every restart
+  // re-derives c1's deferred replay from c1's DPT; a deferral kept from an
+  // earlier incarnation would replay the same (c1, page) pair again at c0's
+  // RecComplete.
+  for (int crashes : {2, 3}) {
+    SCOPED_TRACE(crashes);
+    Start("cx_deferred_once_" + std::to_string(crashes));
+    std::string v0 = Val('6');
+    std::string v1 = Val('7');
+    CommittedWrite(0, ObjectId{PageId(4), 0}, v0);
+    CommittedWrite(1, ObjectId{PageId(4), 0}, v1);
+    ASSERT_TRUE(system_->client(0).ShipAllDirtyPages().ok());
+    ASSERT_TRUE(system_->client(1).ShipAllDirtyPages().ok());
+    ASSERT_TRUE(system_->CrashClient(0).ok());
+    for (int k = 0; k < crashes; ++k) {
+      ASSERT_TRUE(system_->CrashServer().ok());
+      ASSERT_TRUE(system_->RecoverServer().ok());
+    }
+    const uint64_t before =
+        system_->metrics().Get("server.coordinated_page_recoveries");
+    ASSERT_TRUE(system_->RecoverClient(0).ok());
+    EXPECT_EQ(system_->metrics().Get("server.coordinated_page_recoveries") -
+                  before,
+              1u);
+    EXPECT_EQ(ReadCommitted(2, ObjectId{PageId(4), 0}), v1);
+  }
+}
+
+TEST_F(RecoveryTest, OrderedFetchSurfacesCorruptDiskPage) {
+  // An ordered fetch whose responder no longer caches the page replays the
+  // responder's log onto the server's copy. When the disk copy fails its
+  // checksum, the fetch must fail before any replay starts -- a freshly
+  // formatted base would silently drop every update the disk copy holds.
+  Start("of_corrupt");
+  CommittedWrite(0, ObjectId{PageId(5), 0}, Val('8'));
+  ASSERT_TRUE(system_->FlushEverything().ok());
+  // A restart empties the server pool; page 5 owes no repair (it is clean).
+  ASSERT_TRUE(system_->CrashServer().ok());
+  ASSERT_TRUE(system_->RecoverServer().ok());
+  {
+    std::fstream f(system_->config().dir + "/db.pages",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    const auto off = static_cast<std::streamoff>(
+        5 * system_->config().page_size + system_->config().page_size - 1);
+    f.seekg(off);
+    const char flipped = static_cast<char>(f.get() ^ 0x5a);
+    f.seekp(off);
+    f.put(flipped);
+  }
+
+  const uint64_t sessions =
+      system_->metrics().Get(Counter::kClientRecoverySessions);
+  // Client 2 never cached page 5, so the server must replay its log.
+  auto fetched = system_->server().RecOrderedFetch(ClientId(1), PageId(5),
+                                                   ClientId(2), Psn(1));
+  ASSERT_FALSE(fetched.ok());
+  EXPECT_EQ(fetched.status().code(), StatusCode::kCorruption)
+      << fetched.status().ToString();
+  EXPECT_EQ(system_->metrics().Get(Counter::kClientRecoverySessions),
+            sessions);
 }
 
 TEST_F(RecoveryTest, RecoverAllIdempotentWhenNothingCrashed) {

@@ -58,32 +58,22 @@ Rule families
                          core shared classes (Server, GlobalLockManager,
                          LivenessTable, LogManager, Client) must be marked.
 
-Frontends
----------
-Two interchangeable frontends produce the same program model:
-
-  libclang   Full AST via clang.cindex over compile_commands.json, with
-             PARSE_DETAILED_PROCESSING_RECORD so the no-op FINELOG_* marker
-             macros are visible as macro instantiations. Preferred when the
-             (pinned, see CI) libclang + python bindings are installed.
-  internal   A self-contained comment/string-stripping tokenizer + scope
-             parser, driven by the repo conventions the lint already
-             enforces (trailing-underscore members, CamelCase methods,
-             repo-root-relative includes). No dependencies; this is what
-             runs in minimal containers.
-
-`--frontend auto` (default) picks libclang when importable, else internal.
+Frontend
+--------
+A self-contained comment/string-stripping tokenizer + scope parser builds
+the program model, driven by the repo conventions the lint already enforces
+(trailing-underscore members, CamelCase methods, repo-root-relative
+includes). It needs nothing beyond Python.
 
 Usage
 -----
-  tools/finelog_verify.py [--root DIR] [--compdb PATH] [--frontend F]
+  tools/finelog_verify.py [--root DIR]
   tools/finelog_verify.py --self-test    run each rule against its seeded bad
                                          fixture in tests/verify_fixtures and
                                          require the full tree to be clean
 """
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -162,7 +152,7 @@ class Violation:
 
 
 # --------------------------------------------------------------------------
-# Program model (shared by both frontends)
+# Program model
 # --------------------------------------------------------------------------
 
 class Function:
@@ -198,14 +188,13 @@ class Program:
         self.classes = {}       # name -> ClassInfo
         self.mutators = set()   # names annotated FINELOG_MUTATES_PAGE
         self.replay_decls = set()  # names annotated at declaration site
-        self.chokepoint_calls = []  # [(path, line, method)] outside src/net
 
     def add_function(self, fn):
         self.functions.setdefault(fn.qname, fn)
 
 
 # --------------------------------------------------------------------------
-# Internal frontend: tokenizer
+# Frontend: tokenizer
 # --------------------------------------------------------------------------
 
 def strip_comments_and_strings(text):
@@ -320,7 +309,7 @@ def match_brace(tokens, open_idx):
 
 
 # --------------------------------------------------------------------------
-# Internal frontend: per-file parse
+# Frontend: per-file parse
 # --------------------------------------------------------------------------
 
 def scan_annotation_registry(tokens, program):
@@ -590,184 +579,6 @@ def build_program_internal(root, files=None):
 
 
 # --------------------------------------------------------------------------
-# libclang frontend
-# --------------------------------------------------------------------------
-
-def load_cindex():
-    try:
-        from clang import cindex  # type: ignore
-    except ImportError:
-        return None
-    if not cindex.Config.loaded:
-        import glob as _glob
-        candidates = sorted(
-            _glob.glob("/usr/lib/llvm-*/lib/libclang-*.so*")
-            + _glob.glob("/usr/lib/llvm-*/lib/libclang.so*")
-            + _glob.glob("/usr/lib/*/libclang-*.so*"), reverse=True)
-        for cand in candidates:
-            try:
-                cindex.Config.set_library_file(cand)
-                cindex.Index.create()
-                break
-            except Exception:  # noqa: BLE001 - probe next candidate
-                cindex.Config.loaded = False
-        else:
-            try:
-                cindex.Index.create()
-            except Exception:  # noqa: BLE001
-                return None
-    return cindex
-
-
-def compdb_args(entry):
-    """Compiler args usable for reparsing, from one compile_commands entry."""
-    args = entry.get("arguments")
-    if not args:
-        args = entry.get("command", "").split()
-    out = []
-    skip = False
-    for a in args[1:]:
-        if skip:
-            skip = False
-            continue
-        if a in ("-o", "-c"):
-            skip = a == "-o"
-            continue
-        if a == entry.get("file"):
-            continue
-        out.append(a)
-    return out
-
-
-def build_program_libclang(root, compdb_path):
-    cindex = load_cindex()
-    if cindex is None:
-        raise RuntimeError("libclang frontend unavailable "
-                           "(clang.cindex not importable / no libclang.so)")
-    with open(compdb_path, encoding="utf-8") as fh:
-        compdb = json.load(fh)
-    program = Program()
-    index = cindex.Index.create()
-    opts = cindex.TranslationUnit.PARSE_DETAILED_PROCESSING_RECORD
-    src_abs = os.path.join(root, SRC_DIR)
-    seen_files = set()
-    for entry in compdb:
-        path = os.path.normpath(
-            os.path.join(entry.get("directory", root), entry["file"]))
-        if not path.startswith(src_abs) or not path.endswith(".cc"):
-            continue
-        tu = index.parse(path, args=compdb_args(entry), options=opts)
-        _harvest_tu(cindex, root, tu, program, seen_files)
-    return program
-
-
-def _harvest_tu(cindex, root, tu, program, seen_files):
-    K = cindex.CursorKind
-    # Macro instantiations per (file, offset): the no-op FINELOG_* markers.
-    markers = {}
-    for cur in tu.cursor.get_children():
-        if cur.kind == K.MACRO_INSTANTIATION and \
-                cur.spelling.startswith("FINELOG_"):
-            loc = cur.location
-            if loc.file is not None:
-                markers.setdefault(os.path.abspath(loc.file.name), []).append(
-                    (loc.offset, cur.spelling))
-    for lst in markers.values():
-        lst.sort()
-
-    def file_rel(cursor):
-        loc = cursor.location
-        if loc.file is None:
-            return None
-        path = os.path.abspath(loc.file.name)
-        if not path.startswith(os.path.join(root, SRC_DIR)):
-            return None
-        return os.path.relpath(path, root)
-
-    def markers_before(cursor, window=300):
-        """FINELOG_* macros textually just before the cursor's extent (the
-        annotation-before-return-type placement)."""
-        loc = cursor.extent.start
-        if loc.file is None:
-            return set()
-        path = os.path.abspath(loc.file.name)
-        return {name for off, name in markers.get(path, [])
-                if 0 <= loc.offset - off <= window}
-
-    def markers_within(cursor):
-        ext = cursor.extent
-        if ext.start.file is None:
-            return set()
-        path = os.path.abspath(ext.start.file.name)
-        return {name for off, name in markers.get(path, [])
-                if ext.start.offset <= off <= ext.end.offset}
-
-    def visit(cursor):
-        rel = file_rel(cursor)
-        if cursor.kind in (K.CLASS_DECL, K.STRUCT_DECL) and \
-                cursor.is_definition() and rel is not None:
-            if rel not in seen_files or cursor.spelling not in program.classes:
-                cls = program.classes.setdefault(
-                    cursor.spelling,
-                    ClassInfo(cursor.spelling, rel, cursor.location.line))
-                cls.marked = cls.marked or \
-                    ANN_MARKED_CLASS in markers_within(cursor) or \
-                    ANN_MARKED_CLASS in markers_before(cursor, window=80)
-                for ch in cursor.get_children():
-                    if ch.kind == K.FIELD_DECL:
-                        anns = {m for m in markers_within(ch)
-                                if m in FIELD_ANNS_OK}
-                        cls.fields.append((ch.spelling, ch.location.line,
-                                           anns))
-                    elif ch.kind == K.CXX_METHOD and ch.is_virtual_method():
-                        cls.virtual_methods.append(ch.spelling)
-        if cursor.kind in (K.FUNCTION_DECL, K.CXX_METHOD, K.CONSTRUCTOR,
-                           K.DESTRUCTOR):
-            anns = markers_before(cursor) | markers_within(cursor)
-            if ANN_MUTATES in anns:
-                program.mutators.add(cursor.spelling)
-            if ANN_REPLAY in anns:
-                program.replay_decls.add(cursor.spelling)
-            if cursor.is_definition() and rel is not None:
-                parent = cursor.semantic_parent
-                cls_name = parent.spelling if parent is not None and \
-                    parent.kind in (K.CLASS_DECL, K.STRUCT_DECL) else None
-                qname = f"{cls_name}::{cursor.spelling}" if cls_name \
-                    else cursor.spelling
-                fn = Function(qname, cursor.spelling, cls_name, rel,
-                              cursor.location.line)
-                fn.annotations = {a for a in anns if a in FUNC_ANNS}
-                order = [0]
-                _walk_body(cindex, cursor, fn, order, program, rel)
-                program.add_function(fn)
-                return  # body already walked
-        for ch in cursor.get_children():
-            visit(ch)
-
-    def _walk_body(cindex_mod, cursor, fn, order, prog, rel):
-        Kb = cindex_mod.CursorKind
-        for ch in cursor.get_children():
-            order[0] += 1
-            if ch.kind == Kb.CALL_EXPR and ch.spelling:
-                fn.calls.append((ch.spelling, order[0], ch.location.line))
-                ref = ch.referenced
-                if ref is not None and ch.spelling in CHOKEPOINT_METHODS:
-                    par = ref.semantic_parent
-                    if par is not None and par.spelling == CHOKEPOINT_CLASS:
-                        prog.chokepoint_calls.append(
-                            (rel, ch.location.line, ch.spelling))
-            elif ch.kind in (Kb.MEMBER_REF_EXPR, Kb.DECL_REF_EXPR) and \
-                    ch.spelling in PROTECTED_STATE:
-                fn.state_idents.append(
-                    (ch.spelling, order[0], ch.location.line))
-            _walk_body(cindex_mod, ch, fn, order, prog, rel)
-
-    visit(tu.cursor)
-    for f in set():
-        seen_files.add(f)
-
-
-# --------------------------------------------------------------------------
 # Rules
 # --------------------------------------------------------------------------
 
@@ -1015,20 +826,16 @@ def check_recovery_guard(program, strict_counts=True):
 
 def check_rpc_chokepoint(program):
     out = []
-    # libclang records receiver-typed calls directly; the internal frontend
-    # falls back to exact method-name matching (Count/CountBatch are Channel's
-    # alone in this codebase; lowercase std::map::count does not collide).
-    reported = set(program.chokepoint_calls)
+    # Exact method-name matching: Count/CountBatch are Channel's alone in
+    # this codebase (lowercase std::map::count does not collide).
+    reported = set()
     for fn in program.functions.values():
         if fn.path.startswith(NET_DIR + os.sep):
             continue
         for name, _order, line in fn.calls:
-            if name in CHOKEPOINT_METHODS and (fn.path, line, name) \
-                    not in reported:
+            if name in CHOKEPOINT_METHODS:
                 reported.add((fn.path, line, name))
     for path, line, name in sorted(reported):
-        if path.startswith(NET_DIR + os.sep):
-            continue
         out.append(Violation(
             path, line, "rpc-chokepoint",
             f"direct Channel::{name}() outside src/net/; every message must "
@@ -1083,21 +890,6 @@ def run_rules(program, strict=True):
 # Driver
 # --------------------------------------------------------------------------
 
-def build_program(root, frontend, compdb):
-    if frontend == "libclang":
-        return build_program_libclang(root, compdb), "libclang"
-    if frontend == "internal":
-        return build_program_internal(root), "internal"
-    # auto
-    if load_cindex() is not None and compdb and os.path.isfile(compdb):
-        try:
-            return build_program_libclang(root, compdb), "libclang"
-        except Exception as err:  # noqa: BLE001 - fall back, loudly
-            print(f"finelog_verify: libclang frontend failed ({err}); "
-                  "falling back to internal", file=sys.stderr)
-    return build_program_internal(root), "internal"
-
-
 # fixture file -> rule that must fire on it. Each fixture is a
 # self-contained mini-program (its own interface/classes), verified in
 # isolation with the tree-level strictness checks off.
@@ -1111,7 +903,7 @@ FIXTURES = {
 }
 
 
-def run_self_test(root, frontend, compdb):
+def run_self_test(root):
     failures = []
     fixture_root = os.path.join(root, FIXTURE_DIR)
     for fname, rule in sorted(FIXTURES.items()):
@@ -1135,16 +927,14 @@ def run_self_test(root, frontend, compdb):
         else:
             print(f"self-test ok: {fname} -> {rule}")
     # The real tree must be clean, or the verify gate is already red.
-    program, used = build_program(root, frontend, compdb)
-    tree = run_rules(program, strict=True)
+    tree = run_rules(build_program_internal(root), strict=True)
     for v in tree:
         failures.append(f"tree not clean: {v}")
     if failures:
         for f in failures:
             print(f"self-test FAIL: {f}", file=sys.stderr)
         return 1
-    print(f"self-test passed ({len(FIXTURES)} fixtures, tree clean, "
-          f"frontend={used})")
+    print(f"self-test passed ({len(FIXTURES)} fixtures, tree clean)")
     return 0
 
 
@@ -1154,32 +944,25 @@ def main():
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--root", default=None,
                         help="repo root (default: parent of this script)")
-    parser.add_argument("--compdb", default=None,
-                        help="compile_commands.json (default: "
-                             "<root>/build/compile_commands.json)")
-    parser.add_argument("--frontend", default="auto",
-                        choices=["auto", "libclang", "internal"])
     parser.add_argument("--self-test", action="store_true",
                         help="check each rule fires on its seeded bad "
                              "fixture and that the tree is clean")
     args = parser.parse_args()
     root = args.root or os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
-    compdb = args.compdb or os.path.join(root, "build",
-                                         "compile_commands.json")
     if args.self_test:
-        return run_self_test(root, args.frontend, compdb)
-    program, used = build_program(root, args.frontend, compdb)
+        return run_self_test(root)
+    program = build_program_internal(root)
     violations = run_rules(program, strict=True)
     for v in violations:
         print(v)
     if violations:
-        print(f"finelog_verify: {len(violations)} violation(s) "
-              f"(frontend={used})", file=sys.stderr)
+        print(f"finelog_verify: {len(violations)} violation(s)",
+              file=sys.stderr)
         return 1
     nfn = len(program.functions)
     print(f"finelog_verify: clean ({nfn} functions, "
-          f"{len(program.mutators)} page mutators, frontend={used})")
+          f"{len(program.mutators)} page mutators)")
     return 0
 
 
