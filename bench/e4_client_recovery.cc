@@ -45,7 +45,7 @@ void RunOne(uint32_t dirty_pages, uint32_t flushed_pages) {
     TxnId txn = c1.Begin().value();
     (void)c1.Read(txn, ObjectId{p, 0});
     (void)c1.Commit(txn);
-    (void)system->server().ForcePage(ClientId(0), p);
+    (void)system->server().Call(ClientId(0), wire::ForcePage{p});
   }
 
   // Phase 2: pages that are dirty only at the client when it crashes.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 #include "common/check.h"
 #include "buffer/pin_guard.h"
@@ -83,7 +84,7 @@ Status Client::AcquireObjectLock(TxnId txn, ObjectId oid, LockMode mode) {
   metrics_->Add(Counter::kClientLockMisses);
   BufferPool::Frame* frame = cache_->Peek(oid.page);
   Psn cached_psn = frame != nullptr ? frame->page.psn() : kNullPsn;
-  auto reply = server_->LockObject(id_, oid, mode, cached_psn);
+  auto reply = server_->Call(id_, wire::LockObject{oid, mode, cached_psn});
   if (!reply.ok()) return reply.status();
   return InstallObjectLockReply(txn, oid, mode, reply.value());
 }
@@ -145,7 +146,7 @@ Status Client::BatchAcquireObjectLocks(TxnId txn,
     return Status::OK();
   }
   // Collect the LLM misses in request order, deduplicated.
-  std::vector<ObjectLockRequest> misses;
+  std::vector<wire::LockObject> misses;
   std::set<ObjectId> seen;
   for (ObjectId oid : oids) {
     if (!seen.insert(oid).second) continue;
@@ -160,18 +161,14 @@ Status Client::BatchAcquireObjectLocks(TxnId txn,
     }
     metrics_->Add(Counter::kClientLockMisses);
     BufferPool::Frame* frame = cache_->Peek(oid.page);
-    ObjectLockRequest req;
-    req.oid = oid;
-    req.mode = mode;
-    req.cached_psn = frame != nullptr ? frame->page.psn() : kNullPsn;
-    misses.push_back(req);
+    misses.push_back(wire::LockObject{
+        oid, mode, frame != nullptr ? frame->page.psn() : kNullPsn});
   }
   const size_t limit = std::max<uint32_t>(1, config_.max_batch_items);
   for (size_t i = 0; i < misses.size(); i += limit) {
     size_t n = std::min(limit, misses.size() - i);
-    std::vector<ObjectLockRequest> chunk(misses.begin() + i,
-                                         misses.begin() + i + n);
-    auto outcomes = server_->LockObjectBatch(id_, chunk);
+    auto outcomes = server_->Call(
+        id_, wire::LockObjectBatch{std::span(misses).subspan(i, n)});
     if (!outcomes.ok()) return outcomes.status();
     if (n > 1) {
       metrics_->Add(Counter::kClientBatchLockRequests);
@@ -183,7 +180,7 @@ Status Client::BatchAcquireObjectLocks(TxnId txn,
       // first failure, exactly as the sequential loop would report it.
       FINELOG_RETURN_IF_ERROR(out.status);
       FINELOG_RETURN_IF_ERROR(
-          InstallObjectLockReply(txn, chunk[j].oid, mode, out.reply));
+          InstallObjectLockReply(txn, misses[i + j].oid, mode, out.reply));
     }
   }
   return Status::OK();
@@ -205,7 +202,7 @@ Status Client::AcquirePageLock(TxnId txn, PageId pid, LockMode mode) {
   metrics_->Add(Counter::kClientLockMisses);
   BufferPool::Frame* frame = cache_->Peek(pid);
   Psn cached_psn = frame != nullptr ? frame->page.psn() : kNullPsn;
-  auto reply = server_->LockPage(id_, pid, mode, cached_psn);
+  auto reply = server_->Call(id_, wire::LockPage{pid, mode, cached_psn});
   if (!reply.ok()) return reply.status();
 
   llm_.AddPageLock(txn, pid, mode);
@@ -318,13 +315,13 @@ BufferPool::EvictHandler Client::EvictHandler() {
     metrics_->Add(Counter::kClientWalForcesOnReplace);
     ShippedPage shipped = BuildShip(pid, frame);
     metrics_->Add(Counter::kClientPagesShipped);
-    return server_->ShipPage(id_, shipped);
+    return server_->Call(id_, wire::ShipPage{shipped});
   };
 }
 
 Result<BufferPool::Frame*> Client::GetCachedPage(PageId pid) {
   if (BufferPool::Frame* f = cache_->Get(pid)) return f;
-  auto reply = server_->FetchPage(id_, pid);
+  auto reply = server_->Call(id_, wire::FetchPage{pid});
   if (!reply.ok()) return reply.status();
   Page page(config_.page_size);
   page.raw() = reply.value().page_image;
@@ -455,13 +452,13 @@ Status Client::TryFreeLogSpace() {
         FINELOG_RETURN_IF_ERROR(ForceLog());
         ShippedPage shipped = BuildShip(victim, *frame);
         metrics_->Add(Counter::kClientPagesShipped);
-        FINELOG_RETURN_IF_ERROR(server_->ShipPage(id_, shipped));
+        FINELOG_RETURN_IF_ERROR(server_->Call(id_, wire::ShipPage{shipped}));
       } else {
         FINELOG_RETURN_IF_ERROR(cache_->Evict(victim, EvictHandler()));
       }
     }
     Lsn before = dpt_.count(victim) ? dpt_[victim] : kNullLsn;
-    FINELOG_RETURN_IF_ERROR(server_->ForcePage(id_, victim));
+    FINELOG_RETURN_IF_ERROR(server_->Call(id_, wire::ForcePage{victim}));
     metrics_->Add(Counter::kClientLogSpaceForces);
     Lsn after = dpt_.count(victim) ? dpt_[victim] : kMaxLsn;
     if (after <= before && dpt_.count(victim)) {
@@ -516,7 +513,7 @@ Status Client::ShipAllDirtyPages() {
       chunk.push_back(BuildShip(dirty[i + j], *frame));
       metrics_->Add(Counter::kClientPagesShipped);
     }
-    FINELOG_RETURN_IF_ERROR(server_->ShipPages(id_, chunk));
+    FINELOG_RETURN_IF_ERROR(server_->Call(id_, wire::ShipPages{chunk}));
     if (n > 1) {
       metrics_->Add(Counter::kClientBatchShipRequests);
       metrics_->Add(Counter::kClientBatchShipItems, n);
@@ -540,8 +537,8 @@ Status Client::PrefetchPages(const std::vector<PageId>& pids) {
   const size_t limit = std::max<uint32_t>(1, config_.max_batch_items);
   for (size_t i = 0; i < missing.size(); i += limit) {
     size_t n = std::min(limit, missing.size() - i);
-    std::vector<PageId> chunk(missing.begin() + i, missing.begin() + i + n);
-    auto replies = server_->FetchPages(id_, chunk);
+    auto replies = server_->Call(
+        id_, wire::FetchPages{std::span(missing).subspan(i, n)});
     if (!replies.ok()) return replies.status();
     if (n > 1) {
       metrics_->Add(Counter::kClientBatchFetchRequests);
@@ -551,7 +548,7 @@ Status Client::PrefetchPages(const std::vector<PageId>& pids) {
       Page page(config_.page_size);
       page.raw() = replies.value()[j].page_image;
       metrics_->Add(Counter::kClientPageFetches);
-      auto put = cache_->Put(chunk[j], std::move(page), EvictHandler());
+      auto put = cache_->Put(missing[i + j], std::move(page), EvictHandler());
       if (!put.ok()) return put.status();
     }
   }
@@ -578,7 +575,8 @@ Status Client::ReleaseIdleLocks() {
       pages.push_back(pid);
     }
   }
-  FINELOG_RETURN_IF_ERROR(server_->ReleaseLocks(id_, objects, pages));
+  FINELOG_RETURN_IF_ERROR(
+      server_->Call(id_, wire::ReleaseLocks{objects, pages}));
   for (const ObjectId& oid : objects) {
     llm_.ReleaseObject(oid);
     pending_callbacks_.erase(oid);
@@ -638,7 +636,7 @@ Status Client::EnsureToken(PageId pid) {
     return Status::OK();
   }
   if (tokens_held_.count(pid) > 0) return Status::OK();
-  auto reply = server_->AcquireToken(id_, pid);
+  auto reply = server_->Call(id_, wire::AcquireToken{pid});
   if (!reply.ok()) return reply.status();
   tokens_held_.insert(pid);
   if (reply.value().page_image) {
@@ -671,7 +669,7 @@ Status Client::MaybeHeartbeat() {
                 .action != FaultAction::kNone;
     if (!suppressed) {
       metrics_->Add(Counter::kLivenessHeartbeatsSent);
-      Status st = server_->Heartbeat(id_);
+      Status st = server_->Call(id_, wire::Heartbeat{});
       if (st.ok()) {
         lease_valid_until_ = now + config_.lease_duration_us;
       } else if (st.IsZombieFenced()) {
@@ -937,7 +935,7 @@ Result<PageId> Client::AllocatePage(TxnId txn) {
   FINELOG_RETURN_IF_ERROR(MaybeHeartbeat());
   FINELOG_ASSIGN_OR_RETURN(Txn * t, GetActiveTxn(txn));
   (void)t;
-  auto reply = server_->AllocatePage(id_);
+  auto reply = server_->Call(id_, wire::AllocatePage{});
   if (!reply.ok()) return reply.status();
   llm_.AddPageLock(txn, reply.value().page, LockMode::kExclusive);
   Page page(config_.page_size);
@@ -996,7 +994,8 @@ Status Client::Commit(TxnId txn_id) {
         bytes += rec.value().Encode().size() + 8;
         cur = rec.value().prev_lsn;
       }
-      FINELOG_RETURN_IF_ERROR(server_->CommitShipLogs(id_, bytes));
+      FINELOG_RETURN_IF_ERROR(
+          server_->Call(id_, wire::CommitShipLogs{bytes}));
       break;
     }
     case LoggingPolicy::kShipPagesAtCommit: {
@@ -1010,7 +1009,8 @@ Status Client::Commit(TxnId txn_id) {
         }
       }
       if (!pages.empty()) {
-        FINELOG_RETURN_IF_ERROR(server_->CommitShipPages(id_, pages));
+        FINELOG_RETURN_IF_ERROR(
+            server_->Call(id_, wire::CommitShipPages{pages}));
       }
       break;
     }

@@ -198,12 +198,13 @@ Status Client::RunRedo(const AnalysisResult& analysis,
         auto hit = analysis.own_handoffs.find(rec.page);
         if (hit != analysis.own_handoffs.end()) {
           for (const auto& [responder, w] : hit->second) {
-            auto ordered = server_->RecOrderedFetch(id_, rec.page, responder, w);
+            auto ordered = server_->Call(
+                id_, wire::RecOrderedFetch{rec.page, responder, w});
             if (!ordered.ok()) return ordered.status();  // kCrashed => defer.
           }
         }
       }
-      auto reply = server_->RecFetchPage(id_, rec.page);
+      auto reply = server_->Call(id_, wire::RecFetchPage{rec.page});
       if (!reply.ok()) return reply.status();
       Page page(config_.page_size);
       page.raw() = reply.value().page_image;
@@ -289,9 +290,9 @@ Status Client::Restart() {
   // Phase 2: re-install exclusive locks (3.3). In a complex crash the GLM
   // was lost with the server; fall back to locks derived from our own log,
   // restricted to pages the reconstructed DCT still lists for us.
-  auto glm_locks = server_->RecGetMyXLocks(id_);
+  auto glm_locks = server_->Call(id_, wire::RecGetMyXLocks{});
   if (!glm_locks.ok()) return glm_locks.status();
-  auto dct = server_->RecGetMyDct(id_);
+  auto dct = server_->Call(id_, wire::RecGetMyDct{});
   if (!dct.ok()) return dct.status();
   bool dct_authoritative = dct.value().authoritative;
   std::map<PageId, Psn> dct_psn;
@@ -317,7 +318,7 @@ Status Client::Restart() {
   if (!dct_authoritative) {
     for (const auto& [pid, redo] : analysis.dpt) {
       (void)redo;
-      auto list = server_->RecGetCallbackList(id_, pid);
+      auto list = server_->Call(id_, wire::RecGetCallbackList{pid});
       if (!list.ok()) {
         if (list.status().IsRecoveringPage()) {
           // Lazy post-restart repair of this page degraded mid-flight
@@ -374,7 +375,8 @@ Status Client::Restart() {
     }
   }
   if (!derived_objects.empty() || !derived_pages.empty()) {
-    auto accepted = server_->RecInstallLocks(id_, derived_objects, derived_pages);
+    auto accepted = server_->Call(
+        id_, wire::RecInstallLocks{derived_objects, derived_pages});
     if (!accepted.ok()) return accepted.status();
     // Only accepted claims survive; rejected ones had been called back or
     // downgraded before the crash.
@@ -429,7 +431,7 @@ Status Client::Restart() {
 
   // Fresh checkpoint so the next crash starts from here.
   FINELOG_RETURN_IF_ERROR(TakeCheckpoint());
-  return server_->RecComplete(id_);
+  return server_->Call(id_, wire::RecComplete{});
 }
 
 // ---------------------------------------------------------------------------
@@ -604,8 +606,8 @@ Status Client::HandleRecRecoverPage(
       // page-granularity hand-off) over from another client; its updates
       // must reach us (through the server) before ours replay on top --
       // the parallel-recovery handshake.
-      auto fetched = server_->RecOrderedFetch(id_, pid, rec.cb_responder,
-                                              rec.cb_psn);
+      auto fetched = server_->Call(
+          id_, wire::RecOrderedFetch{pid, rec.cb_responder, rec.cb_psn});
       if (!fetched.ok()) return fetched.status();
       Page incoming(config_.page_size);
       incoming.raw() = fetched.value().page_image;
@@ -666,7 +668,7 @@ Status Client::HandleRecRecoverPage(
                                 session.modified.end());
   shipped.structural = false;
   Psn ship_psn = session.page.psn();
-  FINELOG_RETURN_IF_ERROR(server_->ShipPage(id_, shipped));
+  FINELOG_RETURN_IF_ERROR(server_->Call(id_, wire::ShipPage{shipped}));
 
   if (psn_limit == kNullPsn) {
     // The recovered state is now at the server; our RedoLSN can advance

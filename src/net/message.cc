@@ -28,6 +28,7 @@ const char* MessageTypeName(MessageType t) {
     case MessageType::kCheckpointSyncReply: return "CheckpointSyncReply";
     case MessageType::kRecGetDct: return "RecGetDct";
     case MessageType::kRecDctReply: return "RecDctReply";
+    case MessageType::kRecComplete: return "RecComplete";
     case MessageType::kRecPageFetch: return "RecPageFetch";
     case MessageType::kRecPageReply: return "RecPageReply";
     case MessageType::kRecXLocksFetch: return "RecXLocksFetch";

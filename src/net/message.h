@@ -43,6 +43,7 @@ enum class MessageType : uint8_t {
   // Recovery protocol.
   kRecGetDct,             // Crashed client asks for its DCT entries.
   kRecDctReply,
+  kRecComplete,           // Crashed client finished restart (request-only).
   kRecPageFetch,          // Recovery page fetch (server installs DCT PSN).
   kRecPageReply,
   kRecXLocksFetch,        // Crashed client re-installs its X locks (3.3).

@@ -1,9 +1,10 @@
 // Rpc: the single chokepoint every client<->server interaction crosses
-// (DESIGN.md section 13). Each logical exchange is one Call(): the request
-// leg is counted on the channel, the endpoint body runs exactly once, and
-// the reply leg (if the body produced one) is counted back. With every
-// network-fault knob off this is byte-for-byte the infallible-channel
-// behavior: the same Count sequence, no RNG draws, no extra clock motion.
+// (DESIGN.md section 13). Each logical exchange is one Exchange() of a
+// request struct from net/endpoints.h: the request leg is counted on the
+// channel, the handler runs exactly once, and the reply leg (if the
+// exchange answers) is counted back. With every network-fault knob off
+// this is byte-for-byte the infallible-channel behavior: the same Count
+// sequence, no RNG draws, no extra clock motion.
 //
 // With faults enabled, each leg is classified by the Delivery layer and the
 // call becomes a retry loop with timeout, exponential backoff and seeded
@@ -22,7 +23,7 @@
 //    never diverge. If the body never executed, the call fails with
 //    kWouldBlock, which the transaction layer degrades to a clean abort.
 //
-// One-way notifications use Send(): no retries, a drop simply loses the
+// One-way notifications use Notify(): no retries, a drop simply loses the
 // notification, and a duplicate runs the handler twice -- exercising the
 // handler's own idempotency rather than the sequence-number shield.
 
@@ -43,6 +44,7 @@
 #include "common/types.h"
 #include "net/channel.h"
 #include "net/delivery.h"
+#include "net/endpoints.h"
 #include "net/transport.h"
 #include "util/metrics.h"
 
@@ -50,14 +52,8 @@ namespace finelog {
 
 class FaultInjector;
 
-// Direction of the request leg. The reply leg (if any) travels the other
-// way. `peer` in CallOptions is always the client side of the exchange; the
-// other side is always the server.
-enum class RpcDir : uint8_t {
-  kClientToServer = 0,
-  kServerToClient = 1,
-};
-
+// `peer` is always the client side of the exchange (RpcDir in
+// net/endpoints.h); the other side is always the server.
 struct CallOptions {
   RpcDir dir = RpcDir::kClientToServer;
   const char* endpoint = "";   // Fail-point stem: net.<side>.<endpoint>.<op>.
@@ -73,7 +69,6 @@ struct CallOptions {
 // no reply models a request-only exchange.
 class RpcReply {
  public:
-  void Set(MessageType type, uint64_t bytes) { SetBatch(type, 1, bytes); }
   void SetBatch(MessageType type, uint64_t items, uint64_t bytes) {
     present_ = true;
     type_ = type;
@@ -115,6 +110,43 @@ class Rpc {
   }
   Transport* transport() { return transport_; }
 
+  // One typed exchange (net/endpoints.h): options and wire sizes come from
+  // the request struct's definition. `handler` runs on the receiving side
+  // and returns the exchange's Answer (or its plain result).
+  template <typename Req, typename Handler>
+  ReplyOf<Req> Exchange(ClientId peer, const Req& request, Handler&& handler) {
+    return Call(OptionsFor(peer, request), [&](RpcReply* reply) {
+      Answer<Req> answer = handler();
+      if (answer.answered()) {
+        const WireSize size =
+            answer.ok() ? ReplySize(request, answer.value()) : WireSize{};
+        reply->SetBatch(Req::kSpec.reply, size.items, size.bytes);
+      }
+      return std::move(answer.value());
+    });
+  }
+
+  // A typed one-way notification (see Send).
+  template <typename Req, typename Handler>
+  void Notify(ClientId peer, const Req& request, Handler&& handler) {
+    Send(OptionsFor(peer, request), handler);
+  }
+
+  // Invalidate a client's sessions after it crashes: old in-flight ghosts
+  // carry the previous epoch and are fenced instead of mistaken for live
+  // traffic. Called at the top of client restart.
+  void BumpEpoch(ClientId client);
+
+  // Chaos harnesses mutate this to heal (or worsen) the network mid-run.
+  NetFaultConfig& faults() { return delivery_.config(); }
+  const NetFaultConfig& faults() const { return delivery_.config(); }
+
+  // Test introspection.
+  uint64_t session_epoch(RpcDir dir, ClientId peer) const;
+  uint64_t session_last_executed(RpcDir dir, ClientId peer) const;
+  size_t ghost_count() const { return ghosts_.size(); }
+
+ private:
   // One request/reply exchange. `body` is invoked with an RpcReply* and
   // returns Status or Result<T>; the return type must be constructible from
   // a Status so a timed-out call can surface kWouldBlock.
@@ -180,21 +212,6 @@ class Rpc {
     }
   }
 
-  // Invalidate a client's sessions after it crashes: old in-flight ghosts
-  // carry the previous epoch and are fenced instead of mistaken for live
-  // traffic. Called at the top of client restart.
-  void BumpEpoch(ClientId client);
-
-  // Chaos harnesses mutate this to heal (or worsen) the network mid-run.
-  NetFaultConfig& faults() { return delivery_.config(); }
-  const NetFaultConfig& faults() const { return delivery_.config(); }
-
-  // Test introspection.
-  uint64_t session_epoch(RpcDir dir, ClientId peer) const;
-  uint64_t session_last_executed(RpcDir dir, ClientId peer) const;
-  size_t ghost_count() const { return ghosts_.size(); }
-
- private:
   struct CachedReply {
     uint64_t epoch = 0;
     uint64_t seq = 0;
@@ -224,6 +241,14 @@ class Rpc {
     uint64_t bytes = 0;
     uint64_t due = 0;  // Channel total_messages() threshold.
   };
+
+  template <typename Req>
+  static CallOptions OptionsFor(ClientId peer, const Req& request) {
+    const WireSize size = RequestSize(request);
+    return CallOptions{Req::kSpec.dir,     Req::kSpec.endpoint, peer,
+                       Req::kSpec.request, size.items,          size.bytes,
+                       Req::kSpec.recovery_plane};
+  }
 
   Session& SessionFor(RpcDir dir, ClientId peer) {
     return sessions_[static_cast<size_t>(dir)][peer];

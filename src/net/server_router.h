@@ -29,7 +29,7 @@
 #define FINELOG_NET_SERVER_ROUTER_H_
 
 #include <utility>
-#include <vector>
+#include <variant>
 
 #include "common/annotations.h"
 #include "common/result.h"
@@ -41,8 +41,8 @@
 
 namespace finelog {
 
-// A server node the router can fail over to: the full endpoint surface plus
-// the mastership probe. Abstract so net/ does not depend on server/.
+// A server node the router can fail over to: the endpoint plus the
+// mastership probe. Abstract so net/ does not depend on server/.
 class FailoverNode : public ServerEndpoint {
  public:
   // Client-driven failover: confirm (serving node) or assume (standby that
@@ -79,131 +79,10 @@ class FINELOG_SHARED_STATE_CLASS ServerRouter : public ServerEndpoint {
     unreachable_[i] = unreachable;
   }
 
-  // ServerEndpoint ----------------------------------------------------------
-
-  Result<ObjectLockReply> LockObject(ClientId client, ObjectId oid,
-                                     LockMode mode, Psn cached_psn) override {
-    return Route<Result<ObjectLockReply>>(client, [&](FailoverNode* n) {
-      return n->LockObject(client, oid, mode, cached_psn);
-    });
-  }
-  Result<PageLockReply> LockPage(ClientId client, PageId pid, LockMode mode,
-                                 Psn cached_psn) override {
-    return Route<Result<PageLockReply>>(client, [&](FailoverNode* n) {
-      return n->LockPage(client, pid, mode, cached_psn);
-    });
-  }
-  Result<PageFetchReply> FetchPage(ClientId client, PageId pid) override {
-    return Route<Result<PageFetchReply>>(
-        client, [&](FailoverNode* n) { return n->FetchPage(client, pid); });
-  }
-  Status ShipPage(ClientId client, const ShippedPage& page) override {
-    return Route<Status>(
-        client, [&](FailoverNode* n) { return n->ShipPage(client, page); });
-  }
-  Result<std::vector<ObjectLockOutcome>> LockObjectBatch(
-      ClientId client, const std::vector<ObjectLockRequest>& items) override {
-    return Route<Result<std::vector<ObjectLockOutcome>>>(
-        client,
-        [&](FailoverNode* n) { return n->LockObjectBatch(client, items); });
-  }
-  Result<std::vector<PageFetchReply>> FetchPages(
-      ClientId client, const std::vector<PageId>& pids) override {
-    return Route<Result<std::vector<PageFetchReply>>>(
-        client, [&](FailoverNode* n) { return n->FetchPages(client, pids); });
-  }
-  Status ShipPages(ClientId client,
-                   const std::vector<ShippedPage>& pages) override {
-    return Route<Status>(
-        client, [&](FailoverNode* n) { return n->ShipPages(client, pages); });
-  }
-  Result<AllocReply> AllocatePage(ClientId client) override {
-    return Route<Result<AllocReply>>(
-        client, [&](FailoverNode* n) { return n->AllocatePage(client); });
-  }
-  Status ForcePage(ClientId client, PageId pid) override {
-    return Route<Status>(
-        client, [&](FailoverNode* n) { return n->ForcePage(client, pid); });
-  }
-  Status ReleaseLocks(ClientId client, const std::vector<ObjectId>& objects,
-                      const std::vector<PageId>& pages) override {
-    return Route<Status>(client, [&](FailoverNode* n) {
-      return n->ReleaseLocks(client, objects, pages);
-    });
-  }
-  Status CommitShipLogs(ClientId client, size_t log_bytes) override {
-    return Route<Status>(client, [&](FailoverNode* n) {
-      return n->CommitShipLogs(client, log_bytes);
-    });
-  }
-  Status CommitShipPages(ClientId client,
-                         const std::vector<ShippedPage>& pages) override {
-    return Route<Status>(client, [&](FailoverNode* n) {
-      return n->CommitShipPages(client, pages);
-    });
-  }
-  Result<TokenReply> AcquireToken(ClientId client, PageId pid) override {
-    return Route<Result<TokenReply>>(
-        client, [&](FailoverNode* n) { return n->AcquireToken(client, pid); });
-  }
-  Result<DctSnapshot> RecGetMyDct(ClientId client) override {
-    return Route<Result<DctSnapshot>>(
-        client, [&](FailoverNode* n) { return n->RecGetMyDct(client); });
-  }
-  Result<ClientRecoveryState> RecGetMyXLocks(ClientId client) override {
-    return Route<Result<ClientRecoveryState>>(
-        client, [&](FailoverNode* n) { return n->RecGetMyXLocks(client); });
-  }
-  Result<PageFetchReply> RecFetchPage(ClientId client, PageId pid) override {
-    return Route<Result<PageFetchReply>>(
-        client, [&](FailoverNode* n) { return n->RecFetchPage(client, pid); });
-  }
-  Status RecComplete(ClientId client) override {
-    return Route<Status>(
-        client, [&](FailoverNode* n) { return n->RecComplete(client); });
-  }
-  Result<ClientRecoveryState> RecInstallLocks(
-      ClientId client, const std::vector<ObjectId>& objects,
-      const std::vector<PageId>& pages) override {
-    return Route<Result<ClientRecoveryState>>(client, [&](FailoverNode* n) {
-      return n->RecInstallLocks(client, objects, pages);
-    });
-  }
-  Result<std::vector<CallbackListEntry>> RecGetCallbackList(
-      ClientId client, PageId pid) override {
-    return Route<Result<std::vector<CallbackListEntry>>>(
-        client,
-        [&](FailoverNode* n) { return n->RecGetCallbackList(client, pid); });
-  }
-  Result<PageFetchReply> RecOrderedFetch(ClientId client, PageId pid,
-                                         ClientId other, Psn psn) override {
-    return Route<Result<PageFetchReply>>(client, [&](FailoverNode* n) {
-      return n->RecOrderedFetch(client, pid, other, psn);
-    });
-  }
-  Status Heartbeat(ClientId client) override {
-    return Route<Status>(
-        client, [&](FailoverNode* n) { return n->Heartbeat(client); });
-  }
-
- private:
-  static const Status& StatusOf(const Status& s) { return s; }
-  template <typename T>
-  static const Status& StatusOf(const Result<T>& r) {
-    return r.status();
-  }
-
-  // A failure that makes the router suspect the active node is no longer
-  // the serving master (see the file comment).
-  static bool NeedsFailover(const Status& s) {
-    if (s.IsCrashed()) return true;
-    if (!s.IsWouldBlock()) return false;
-    return s.would_block_reason() == WouldBlockReason::kRpcTimeout ||
-           s.would_block_reason() == WouldBlockReason::kFailoverInProgress;
-  }
-
-  template <typename R, typename Fn>
-  R Route(ClientId client, Fn&& fn) {
+  // The routing (see the file comment): serve `call` on the active node;
+  // on a failure that suggests the primary is gone, probe the other node
+  // and, once it confirms mastership, retry the call there exactly once.
+  void Serve(ClientId client, AnyServerCall call) override {
     int active;
     bool active_unreachable;
     bool other_unreachable;
@@ -213,19 +92,18 @@ class FINELOG_SHARED_STATE_CLASS ServerRouter : public ServerEndpoint {
       active_unreachable = unreachable_[active_];
       other_unreachable = unreachable_[1 - active_];
     }
-    R result = [&]() -> R {
-      if (active_unreachable) {
-        // Silent wire: the client burns its timeout budget first.
-        channel_->clock()->Advance(timeout_us_);
-        return R(Status::WouldBlock(WouldBlockReason::kRpcTimeout,
+    if (active_unreachable) {
+      // Silent wire: the client burns its timeout budget first.
+      channel_->clock()->Advance(timeout_us_);
+      Fail(call, Status::WouldBlock(WouldBlockReason::kRpcTimeout,
                                     "primary unreachable"));
-      }
-      return fn(nodes_[active]);
-    }();
-    const Status& st = StatusOf(result);
-    if (!NeedsFailover(st)) return result;
+    } else {
+      nodes_[active]->Serve(client, call);
+    }
+    const Status st = CallStatus(call);
+    if (!NeedsFailover(st)) return;
     const int other = 1 - active;
-    if (other_unreachable) return result;
+    if (other_unreachable) return;
     if (st.IsCrashed()) {
       // A crashed primary answers nothing; in the real deployment the
       // client only learns this by waiting out its timeout.
@@ -238,10 +116,11 @@ class FINELOG_SHARED_STATE_CLASS ServerRouter : public ServerEndpoint {
         // standby may serve. Retryable (kFailoverBlocked is counted by the
         // probed node); the epoch fence guarantees no node serves the old
         // epoch meanwhile.
-        return R(probe.status());
+        Fail(call, probe.status());
       }
-      // Standby dead or unreachable too: surface the original failure.
-      return result;
+      // Otherwise the standby is dead or unreachable too: the original
+      // failure stands.
+      return;
     }
     {
       SimMutexLock lock(mu_);
@@ -252,7 +131,26 @@ class FINELOG_SHARED_STATE_CLASS ServerRouter : public ServerEndpoint {
     }
     // Retry exactly once against the confirmed master; further failures are
     // the caller's to retry (and will re-enter this routing logic).
-    return fn(nodes_[other]);
+    nodes_[other]->Serve(client, call);
+  }
+
+ private:
+  static Status CallStatus(const AnyServerCall& call) {
+    return std::visit([](auto* c) { return finelog::StatusOf(*c->result); },
+                      call);
+  }
+
+  static void Fail(const AnyServerCall& call, Status st) {
+    std::visit([&](auto* c) { c->result.emplace(std::move(st)); }, call);
+  }
+
+  // A failure that makes the router suspect the active node is no longer
+  // the serving master (see the file comment).
+  static bool NeedsFailover(const Status& s) {
+    if (s.IsCrashed()) return true;
+    if (!s.IsWouldBlock()) return false;
+    return s.would_block_reason() == WouldBlockReason::kRpcTimeout ||
+           s.would_block_reason() == WouldBlockReason::kFailoverInProgress;
   }
 
   FailoverNode* nodes_[2] FINELOG_UNGUARDED(

@@ -1,37 +1,14 @@
 #include "server/server.h"
 
 #include <algorithm>
-#include <cassert>
+#include <type_traits>
+#include <variant>
 
 #include "net/rpc.h"
 #include "server/page_merge.h"
 #include "util/fault.h"
 
 namespace finelog {
-
-namespace {
-
-// Approximate wire sizes for request/reply accounting.
-constexpr size_t kSmallMsg = 32;
-
-// Builds the CallOptions for one request/reply exchange. `peer` is always
-// the client side of the exchange; `endpoint` is the fail-point stem
-// (net.<side>.<endpoint>.<op>).
-CallOptions MakeOpts(RpcDir dir, const char* endpoint, ClientId peer,
-                     MessageType req_type, uint64_t req_items,
-                     uint64_t req_bytes, bool recovery_plane = false) {
-  CallOptions opts;
-  opts.dir = dir;
-  opts.endpoint = endpoint;
-  opts.peer = peer;
-  opts.req_type = req_type;
-  opts.req_items = req_items;
-  opts.req_bytes = req_bytes;
-  opts.recovery_plane = recovery_plane;
-  return opts;
-}
-
-}  // namespace
 
 Result<std::unique_ptr<Server>> Server::Create(const SystemConfig& config,
                                                Channel* channel, Rpc* rpc,
@@ -226,9 +203,8 @@ Status Server::WritePageToDisk(PageId pid, BufferPool::Frame& frame) {
   for (const DctEntry& e : entries) {
     auto cit = clients_.find(e.client);
     if (cit != clients_.end() && !ClientUnreachable(e.client)) {
-      rpc_->Send(MakeOpts(RpcDir::kServerToClient, "flush_notify", e.client,
-                          MessageType::kFlushNotify, 1, kSmallMsg),
-                 [&] { cit->second->HandleFlushNotify(pid, e.psn); });
+      rpc_->Notify(e.client, wire::FlushNotify{},
+                   [&] { cit->second->HandleFlushNotify(pid, e.psn); });
     }
     bool holds_x = glm_.HoldsPage(e.client, pid, LockMode::kExclusive);
     if (!holds_x) {
@@ -312,28 +288,21 @@ Status Server::ExecuteCallbacks(
       ++j;
     }
     const size_t n = j - i;
-    Status call = rpc_->Call(
-        MakeOpts(RpcDir::kServerToClient, "callback", target,
-                 MessageType::kCallbackRequest, n, n * kSmallMsg),
-        [&](RpcReply* reply) -> Status {
-          if (n > 1) {
-            metrics_->Add(Counter::kServerBatchCallbackRequests);
-            metrics_->Add(Counter::kServerBatchCallbackItems, n);
-          }
-          size_t reply_bytes = 0;
-          size_t answered = 0;
-          Status st;
-          for (size_t k = i; k < j; ++k) {
-            st = ExecuteOneCallback(actions[k], x_callbacks, &reply_bytes);
-            ++answered;
-            if (!st.ok()) break;
-          }
-          // A denial still answers: the reply carries the outcomes produced
-          // so far.
-          reply->SetBatch(MessageType::kCallbackReply, answered, reply_bytes);
-          return st;
-        });
-    FINELOG_RETURN_IF_ERROR(call);
+    auto answers = rpc_->Exchange(target, wire::Callbacks{n}, [&] {
+      if (n > 1) {
+        metrics_->Add(Counter::kServerBatchCallbackRequests);
+        metrics_->Add(Counter::kServerBatchCallbackItems, n);
+      }
+      // A denial still answers: the reply carries the outcomes produced so
+      // far.
+      wire::CallbackReplies replies;
+      for (size_t k = i; k < j && replies.status.ok(); ++k) {
+        replies.status = ExecuteOneCallback(actions[k], x_callbacks, &replies);
+      }
+      return replies;
+    });
+    if (!answers.ok()) return answers.status();
+    FINELOG_RETURN_IF_ERROR(answers.value().status);
     i = j;
   }
   return Status::OK();
@@ -341,7 +310,7 @@ Status Server::ExecuteCallbacks(
 
 Status Server::ExecuteOneCallback(const CallbackAction& a,
                                   std::vector<XCallbackInfo>* x_callbacks,
-                                  size_t* reply_bytes) {
+                                  wire::CallbackReplies* replies) {
   {
     ClientEndpoint* ep = clients_.at(a.target);
     switch (a.what) {
@@ -351,7 +320,7 @@ Status Server::ExecuteOneCallback(const CallbackAction& a,
                             ? LockMode::kExclusive
                             : LockMode::kShared;
         auto reply = ep->HandleObjectCallback(a.object, want);
-        *reply_bytes += reply.page ? reply.page->wire_size() : kSmallMsg;
+        replies->Add(reply.page);
         metrics_->Add(Counter::kServerCallbacksObject);
         if (!reply.granted) {
           metrics_->Add(Counter::kServerCallbacksDenied);
@@ -405,7 +374,7 @@ Status Server::ExecuteOneCallback(const CallbackAction& a,
           // Page-locking baseline: page locks are called back, not
           // de-escalated (there are no object locks to fall back to).
           auto reply = ep->HandlePageCallback(a.page, a.requested);
-          *reply_bytes += reply.page ? reply.page->wire_size() : kSmallMsg;
+          replies->Add(reply.page);
           metrics_->Add(Counter::kServerCallbacksPage);
           if (!reply.granted) {
             metrics_->Add(Counter::kServerCallbacksDenied);
@@ -437,7 +406,7 @@ Status Server::ExecuteOneCallback(const CallbackAction& a,
           break;
         }
         auto reply = ep->HandleDeescalate(a.page);
-        *reply_bytes += reply.page ? reply.page->wire_size() : kSmallMsg;
+        replies->Add(reply.page);
         metrics_->Add(Counter::kServerDeescalations);
         if (!reply.granted) {
           metrics_->Add(Counter::kServerCallbacksDenied);
@@ -502,62 +471,46 @@ Status Server::ApplyShippedPage(ClientId client, const ShippedPage& shipped,
   return Status::OK();
 }
 
-Result<ObjectLockReply> Server::LockObject(ClientId client, ObjectId oid,
-                                           LockMode mode, Psn cached_psn) {
-  EndpointLock lock(mu_, rpc_->transport(), client);
-  if (crashed_) return Status::Crashed("server down");
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "lock_object", client,
-               MessageType::kLockRequest, 1, kSmallMsg),
-      [&](RpcReply* rep) -> Result<ObjectLockReply> {
-        FINELOG_RETURN_IF_ERROR(MastershipAdmission());
-        FINELOG_RETURN_IF_ERROR(LivenessAdmission(client));
-        size_t reply_bytes = kSmallMsg;
-        auto reply =
-            LockObjectInternal(client, oid, mode, cached_psn, &reply_bytes);
-        // The reply travels (and is charged) even for a denial.
-        rep->Set(MessageType::kLockReply, reply_bytes);
-        return reply;
-      });
+void Server::Serve(ClientId client, AnyServerCall call) {
+  std::visit(
+      [&](auto* c) { c->result.emplace(Dispatch(client, c->request)); },
+      call);
 }
 
-Result<std::vector<ObjectLockOutcome>> Server::LockObjectBatch(
-    ClientId client, const std::vector<ObjectLockRequest>& items) {
+template <typename Req>
+ReplyOf<Req> Server::Dispatch(ClientId client, const Req& request) {
   EndpointLock lock(mu_, rpc_->transport(), client);
   if (crashed_) return Status::Crashed("server down");
-  if (items.empty()) return std::vector<ObjectLockOutcome>{};
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "lock_object", client,
-               MessageType::kLockRequest, items.size(),
-               items.size() * kSmallMsg),
-      [&](RpcReply* rep) -> Result<std::vector<ObjectLockOutcome>> {
-        FINELOG_RETURN_IF_ERROR(MastershipAdmission());
-        FINELOG_RETURN_IF_ERROR(LivenessAdmission(client));
-        size_t reply_bytes = 0;
-        std::vector<ObjectLockOutcome> out;
-        out.reserve(items.size());
-        for (const ObjectLockRequest& it : items) {
-          size_t rb = kSmallMsg;
-          auto r =
-              LockObjectInternal(client, it.oid, it.mode, it.cached_psn, &rb);
-          reply_bytes += rb;
-          ObjectLockOutcome o;
-          if (r.ok()) {
-            o.reply = std::move(r.value());
-          } else {
-            o.status = r.status();
-          }
-          out.push_back(std::move(o));
-        }
-        rep->SetBatch(MessageType::kLockReply, items.size(), reply_bytes);
-        return out;
-      });
+  if constexpr (requires { request.empty(); }) {
+    // An empty batch is answered locally: no message travels.
+    if (request.empty()) {
+      if constexpr (std::is_void_v<typename Req::Reply>) {
+        return Status::OK();
+      } else {
+        return typename Req::Reply{};
+      }
+    }
+  }
+  return rpc_->Exchange(client, request, [&]() -> Answer<Req> {
+    if constexpr (std::is_same_v<Req, wire::Heartbeat>) {
+      // Counted before the fences: a refused renewal still arrived.
+      metrics_->Add(Counter::kLivenessHeartbeatsReceived);
+    }
+    if constexpr (!Req::kSpec.recovery_plane) {
+      FINELOG_RETURN_IF_ERROR(MastershipAdmission());
+      FINELOG_RETURN_IF_ERROR(LivenessAdmission(client));
+    } else {
+      // The recovery plane is unfenced: crash recovery is how a zombie
+      // rejoins. Its requests keep the caller's recovery window open.
+      liveness_.OpenRecoveryWindow(client);
+    }
+    return Handle(client, request);
+  });
 }
 
-Result<ObjectLockReply> Server::LockObjectInternal(ClientId client,
-                                                   ObjectId oid, LockMode mode,
-                                                   Psn cached_psn,
-                                                   size_t* reply_bytes) {
+Answer<wire::LockObject> Server::Handle(ClientId client,
+                                        const wire::LockObject& req) {
+  const ObjectId oid = req.oid;
   metrics_->Add(Counter::kServerLockRequests);
 
   FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(oid.page));
@@ -567,7 +520,8 @@ Result<ObjectLockReply> Server::LockObjectInternal(ClientId client,
   // iterate until the request is clean.
   std::vector<XCallbackInfo> x_callbacks;
   for (int round = 0;; ++round) {
-    std::vector<CallbackAction> actions = glm_.RequiredForObject(client, oid, mode);
+    std::vector<CallbackAction> actions =
+        glm_.RequiredForObject(client, oid, req.mode);
     if (actions.empty()) break;
     if (round >= 8) {
       return Status::WouldBlock(WouldBlockReason::kLockConflict,
@@ -576,13 +530,13 @@ Result<ObjectLockReply> Server::LockObjectInternal(ClientId client,
     FINELOG_RETURN_IF_ERROR(ExecuteCallbacks(actions, &x_callbacks));
   }
 
-  glm_.GrantObject(client, oid, mode);
+  glm_.GrantObject(client, oid, req.mode);
   auto frame = GetPage(oid.page);
   if (!frame.ok()) {
     return frame.status();
   }
   Page& page = frame.value()->page;
-  if (mode == LockMode::kExclusive) {
+  if (req.mode == LockMode::kExclusive) {
     // Hand-off entries for "ghost writers": clients with unflushed updates
     // (a DCT entry) but no remaining lock on the object -- e.g. a client
     // whose lock claim was rejected during restart. Without a callback log
@@ -603,18 +557,18 @@ Result<ObjectLockReply> Server::LockObjectInternal(ClientId client,
     }
   }
 
-  if (mode == LockMode::kExclusive && !dct_.Get(oid.page, client)) {
+  if (req.mode == LockMode::kExclusive && !dct_.Get(oid.page, client)) {
     // First exclusive grant: remember the PSN (Section 3.2). The client's
     // cached copy PSN if it has the page, else the PSN of the copy we are
     // about to send.
     dct_.Insert(oid.page, client,
-                cached_psn != kNullPsn ? cached_psn : page.psn());
+                req.cached_psn != kNullPsn ? req.cached_psn : page.psn());
   }
 
   ObjectLockReply reply;
   reply.server_psn = page.psn();
   reply.x_callbacks = std::move(x_callbacks);
-  if (cached_psn != kNullPsn) {
+  if (req.cached_psn != kNullPsn) {
     // Client has the page: refresh just the object (fine-granularity
     // transfer).
     if (page.SlotExists(oid.slot)) {
@@ -624,68 +578,55 @@ Result<ObjectLockReply> Server::LockObjectInternal(ClientId client,
     } else {
       reply.object_present = false;
     }
-    *reply_bytes =
-        kSmallMsg + (reply.object_image ? reply.object_image->size() : 0);
   } else {
     reply.page_image = page.raw();
     reply.object_present = page.SlotExists(oid.slot);
-    *reply_bytes = kSmallMsg + reply.page_image->size();
   }
   return reply;
 }
 
-Result<PageLockReply> Server::LockPage(ClientId client, PageId pid,
-                                       LockMode mode, Psn cached_psn) {
-  EndpointLock lock(mu_, rpc_->transport(), client);
-  if (crashed_) return Status::Crashed("server down");
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "lock_page", client,
-               MessageType::kLockRequest, 1, kSmallMsg),
-      [&](RpcReply* rep) -> Result<PageLockReply> {
-        FINELOG_RETURN_IF_ERROR(MastershipAdmission());
-        FINELOG_RETURN_IF_ERROR(LivenessAdmission(client));
-        return LockPageBody(client, pid, mode, cached_psn, rep);
-      });
+Answer<wire::LockObjectBatch> Server::Handle(
+    ClientId client, const wire::LockObjectBatch& req) {
+  std::vector<ObjectLockOutcome> out;
+  out.reserve(req.items.size());
+  for (const wire::LockObject& item : req.items) {
+    Result<ObjectLockReply> r = std::move(Handle(client, item).value());
+    ObjectLockOutcome o;
+    if (r.ok()) {
+      o.reply = std::move(r.value());
+    } else {
+      o.status = r.status();
+    }
+    out.push_back(std::move(o));
+  }
+  return out;
 }
 
-Result<PageLockReply> Server::LockPageBody(ClientId client, PageId pid,
-                                           LockMode mode, Psn cached_psn,
-                                           RpcReply* rep) {
+Answer<wire::LockPage> Server::Handle(ClientId client,
+                                      const wire::LockPage& req) {
+  const PageId pid = req.pid;
   metrics_->Add(Counter::kServerLockRequests);
 
-  if (Status rec = EnsurePageRecovered(pid); !rec.ok()) {
-    rep->Set(MessageType::kLockReply, kSmallMsg);
-    return rec;
-  }
-  if (Status reach = CheckPageReachable(pid, client); !reach.ok()) {
-    rep->Set(MessageType::kLockReply, kSmallMsg);
-    return reach;
-  }
+  FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(pid));
+  FINELOG_RETURN_IF_ERROR(CheckPageReachable(pid, client));
 
   std::vector<XCallbackInfo> x_callbacks;
   for (int round = 0;; ++round) {
-    std::vector<CallbackAction> actions = glm_.RequiredForPage(client, pid, mode);
+    std::vector<CallbackAction> actions =
+        glm_.RequiredForPage(client, pid, req.mode);
     if (actions.empty()) break;
     if (round >= 8) {
-      rep->Set(MessageType::kLockReply, kSmallMsg);
       return Status::WouldBlock(WouldBlockReason::kLockConflict,
                                 "lock conflict not resolved");
     }
-    Status st = ExecuteCallbacks(actions, &x_callbacks);
-    if (!st.ok()) {
-      rep->Set(MessageType::kLockReply, kSmallMsg);
-      return st;
-    }
+    FINELOG_RETURN_IF_ERROR(ExecuteCallbacks(actions, &x_callbacks));
   }
 
-  glm_.GrantPage(client, pid, mode);
+  glm_.GrantPage(client, pid, req.mode);
   auto frame = GetPage(pid);
-  if (!frame.ok()) {
-    rep->Set(MessageType::kLockReply, kSmallMsg);
-    return frame.status();
-  }
+  if (!frame.ok()) return frame.status();
   Page& page = frame.value()->page;
-  if (mode == LockMode::kExclusive) {
+  if (req.mode == LockMode::kExclusive) {
     // Ghost-writer hand-off entries (see LockObject); a page grant covers
     // every object, hence the sentinel slot.
     for (const DctEntry& e : dct_.EntriesForPage(pid)) {
@@ -701,8 +642,9 @@ Result<PageLockReply> Server::LockPageBody(ClientId client, PageId pid,
     }
   }
 
-  if (mode == LockMode::kExclusive && !dct_.Get(pid, client)) {
-    dct_.Insert(pid, client, cached_psn != kNullPsn ? cached_psn : page.psn());
+  if (req.mode == LockMode::kExclusive && !dct_.Get(pid, client)) {
+    dct_.Insert(pid, client,
+                req.cached_psn != kNullPsn ? req.cached_psn : page.psn());
   }
 
   PageLockReply reply;
@@ -712,200 +654,104 @@ Result<PageLockReply> Server::LockPageBody(ClientId client, PageId pid,
   // holders just merged their updates into it, and the requester's cached
   // copy (if any) may be stale for objects it holds no locks on.
   reply.page_image = page.raw();
-  rep->Set(MessageType::kLockReply, kSmallMsg + reply.page_image->size());
   return reply;
 }
 
-Result<PageFetchReply> Server::FetchPage(ClientId client, PageId pid) {
-  EndpointLock lock(mu_, rpc_->transport(), client);
-  if (crashed_) return Status::Crashed("server down");
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "fetch_page", client,
-               MessageType::kPageFetch, 1, kSmallMsg),
-      [&](RpcReply* rep) -> Result<PageFetchReply> {
-        FINELOG_RETURN_IF_ERROR(MastershipAdmission());
-        FINELOG_RETURN_IF_ERROR(LivenessAdmission(client));
-        size_t reply_bytes = 0;
-        auto reply = FetchPageInternal(client, pid, &reply_bytes);
-        if (!reply.ok()) return reply.status();  // Errors send no reply.
-        rep->Set(MessageType::kPageReply, reply_bytes);
-        return reply;
-      });
-}
-
-Result<std::vector<PageFetchReply>> Server::FetchPages(
-    ClientId client, const std::vector<PageId>& pids) {
-  EndpointLock lock(mu_, rpc_->transport(), client);
-  if (crashed_) return Status::Crashed("server down");
-  if (pids.empty()) return std::vector<PageFetchReply>{};
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "fetch_page", client,
-               MessageType::kPageFetch, pids.size(), pids.size() * kSmallMsg),
-      [&](RpcReply* rep) -> Result<std::vector<PageFetchReply>> {
-        FINELOG_RETURN_IF_ERROR(MastershipAdmission());
-        FINELOG_RETURN_IF_ERROR(LivenessAdmission(client));
-        size_t reply_bytes = 0;
-        std::vector<PageFetchReply> out;
-        out.reserve(pids.size());
-        for (PageId pid : pids) {
-          size_t rb = 0;
-          auto r = FetchPageInternal(client, pid, &rb);
-          if (!r.ok()) return r.status();  // Errors send no reply.
-          reply_bytes += rb;
-          out.push_back(std::move(r.value()));
-        }
-        rep->SetBatch(MessageType::kPageReply, pids.size(), reply_bytes);
-        return out;
-      });
-}
-
-Result<PageFetchReply> Server::FetchPageInternal(ClientId client, PageId pid,
-                                                 size_t* reply_bytes) {
-  FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(pid));
-  auto frame = GetPage(pid);
+Answer<wire::FetchPage> Server::Handle(ClientId client,
+                                       const wire::FetchPage& req) {
+  FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(req.pid));
+  auto frame = GetPage(req.pid);
   if (!frame.ok()) return frame.status();
   PageFetchReply reply;
   reply.page_image = frame.value()->page.raw();
-  auto entry = dct_.Get(pid, client);
+  auto entry = dct_.Get(req.pid, client);
   reply.dct_psn = entry ? entry->psn : kNullPsn;
-  *reply_bytes = reply.page_image.size() + kSmallMsg;
   metrics_->Add(Counter::kServerPageFetches);
   return reply;
 }
 
-Status Server::ShipPage(ClientId client, const ShippedPage& page) {
-  EndpointLock lock(mu_, rpc_->transport(), client);
-  if (crashed_) return Status::Crashed("server down");
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "ship_page", client,
-               MessageType::kPageShip, 1, page.wire_size()),
-      [&](RpcReply* rep) -> Status {
-        FINELOG_RETURN_IF_ERROR(MastershipAdmission());
-        FINELOG_RETURN_IF_ERROR(LivenessAdmission(client));
-        FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(page.page));
-        FINELOG_RETURN_IF_ERROR(ApplyShippedPage(client, page));
-        rep->Set(MessageType::kPageShipAck, kSmallMsg);
-        return Status::OK();
-      });
+Answer<wire::FetchPages> Server::Handle(ClientId client,
+                                        const wire::FetchPages& req) {
+  std::vector<PageFetchReply> out;
+  out.reserve(req.pids.size());
+  for (PageId pid : req.pids) {
+    Result<PageFetchReply> r =
+        std::move(Handle(client, wire::FetchPage{pid}).value());
+    if (!r.ok()) return r.status();
+    out.push_back(std::move(r.value()));
+  }
+  return out;
 }
 
-Status Server::ShipPages(ClientId client,
-                         const std::vector<ShippedPage>& pages) {
-  EndpointLock lock(mu_, rpc_->transport(), client);
-  if (crashed_) return Status::Crashed("server down");
-  if (pages.empty()) return Status::OK();
-  size_t bytes = 0;
-  for (const ShippedPage& p : pages) bytes += p.wire_size();
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "ship_page", client,
-               MessageType::kPageShip, pages.size(), bytes),
-      [&](RpcReply* rep) -> Status {
-        FINELOG_RETURN_IF_ERROR(MastershipAdmission());
-        FINELOG_RETURN_IF_ERROR(LivenessAdmission(client));
-        for (const ShippedPage& p : pages) {
-          FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(p.page));
-          FINELOG_RETURN_IF_ERROR(ApplyShippedPage(client, p));
-        }
-        rep->SetBatch(MessageType::kPageShipAck, pages.size(), kSmallMsg);
-        return Status::OK();
-      });
+Answer<wire::ShipPage> Server::Handle(ClientId client,
+                                      const wire::ShipPage& req) {
+  FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(req.page.page));
+  return ApplyShippedPage(client, req.page);
+}
+
+Answer<wire::ShipPages> Server::Handle(ClientId client,
+                                       const wire::ShipPages& req) {
+  for (const ShippedPage& p : req.pages) {
+    FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(p.page));
+    FINELOG_RETURN_IF_ERROR(ApplyShippedPage(client, p));
+  }
+  return Status::OK();
 }
 
 FINELOG_REPLAY_PATH("formats a fresh page whose PSN lineage lives in the "
                     "space map; the allocating client logs from there on")
-Result<AllocReply> Server::AllocatePage(ClientId client) {
-  EndpointLock lock(mu_, rpc_->transport(), client);
-  if (crashed_) return Status::Crashed("server down");
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "alloc_page", client,
-               MessageType::kAllocRequest, 1, kSmallMsg),
-      [&](RpcReply* rep) -> Result<AllocReply> {
-        FINELOG_RETURN_IF_ERROR(MastershipAdmission());
-        FINELOG_RETURN_IF_ERROR(LivenessAdmission(client));
-        auto alloc = space_map_->AllocatePage();
-        if (!alloc.ok()) return alloc.status();
-        // A freed-then-reused page id may still owe lazy restart repair;
-        // retire that debt before installing the fresh image, or the
-        // background sweep would later "repair" the reborn page back to
-        // its pre-crash contents.
-        FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(alloc.value().page));
-        Page page(config_.page_size);
-        page.Format(alloc.value().page, alloc.value().initial_psn);
-        auto put = pool_->Put(alloc.value().page, page, EvictHandler());
-        if (!put.ok()) return put.status();
-        put.value()->dirty = true;
-        // The allocating client starts with a page-level exclusive lock.
-        glm_.GrantPage(client, alloc.value().page, LockMode::kExclusive);
-        dct_.Insert(alloc.value().page, client, alloc.value().initial_psn);
-        AllocReply reply;
-        reply.page = alloc.value().page;
-        reply.page_image = page.raw();
-        rep->Set(MessageType::kAllocReply,
-                 reply.page_image.size() + kSmallMsg);
-        metrics_->Add(Counter::kServerAllocations);
-        return reply;
-      });
+Answer<wire::AllocatePage> Server::Handle(ClientId client,
+                                          const wire::AllocatePage&) {
+  auto alloc = space_map_->AllocatePage();
+  if (!alloc.ok()) return alloc.status();
+  // A freed-then-reused page id may still owe lazy restart repair; retire
+  // that debt before installing the fresh image, or the background sweep
+  // would later "repair" the reborn page back to its pre-crash contents.
+  FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(alloc.value().page));
+  Page page(config_.page_size);
+  page.Format(alloc.value().page, alloc.value().initial_psn);
+  auto put = pool_->Put(alloc.value().page, page, EvictHandler());
+  if (!put.ok()) return put.status();
+  put.value()->dirty = true;
+  // The allocating client starts with a page-level exclusive lock.
+  glm_.GrantPage(client, alloc.value().page, LockMode::kExclusive);
+  dct_.Insert(alloc.value().page, client, alloc.value().initial_psn);
+  AllocReply reply;
+  reply.page = alloc.value().page;
+  reply.page_image = page.raw();
+  metrics_->Add(Counter::kServerAllocations);
+  return reply;
 }
 
-Status Server::ForcePage(ClientId client, PageId pid) {
-  EndpointLock lock(mu_, rpc_->transport(), client);
-  if (crashed_) return Status::Crashed("server down");
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "force_page", client,
-               MessageType::kForcePageRequest, 1, kSmallMsg),
-      [&](RpcReply* rep) -> Status {
-        FINELOG_RETURN_IF_ERROR(MastershipAdmission());
-        FINELOG_RETURN_IF_ERROR(LivenessAdmission(client));
-        FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(pid));
-        metrics_->Add(Counter::kServerForcePageRequests);
-        if (BufferPool::Frame* frame = pool_->Get(pid)) {
-          if (frame->dirty) {
-            FINELOG_RETURN_IF_ERROR(WritePageToDisk(pid, *frame));
-          }
-        } else {
-          // Already flushed at eviction time; re-notify so the requester can
-          // advance its DPT even if it missed the original notification.
-          auto entry = dct_.Get(pid, client);
-          auto cit = clients_.find(client);
-          if (cit != clients_.end()) {
-            rpc_->Send(
-                MakeOpts(RpcDir::kServerToClient, "flush_notify", client,
-                         MessageType::kFlushNotify, 1, kSmallMsg),
-                [&] {
-                  cit->second->HandleFlushNotify(pid,
-                                                 entry ? entry->psn : kNullPsn);
-                });
-          }
-        }
-        rep->Set(MessageType::kForcePageReply, kSmallMsg);
-        return Status::OK();
+Answer<wire::ForcePage> Server::Handle(ClientId client,
+                                       const wire::ForcePage& req) {
+  const PageId pid = req.pid;
+  FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(pid));
+  metrics_->Add(Counter::kServerForcePageRequests);
+  if (BufferPool::Frame* frame = pool_->Get(pid)) {
+    if (frame->dirty) {
+      FINELOG_RETURN_IF_ERROR(WritePageToDisk(pid, *frame));
+    }
+  } else {
+    // Already flushed at eviction time; re-notify so the requester can
+    // advance its DPT even if it missed the original notification.
+    auto entry = dct_.Get(pid, client);
+    auto cit = clients_.find(client);
+    if (cit != clients_.end()) {
+      rpc_->Notify(client, wire::FlushNotify{}, [&] {
+        cit->second->HandleFlushNotify(pid, entry ? entry->psn : kNullPsn);
       });
+    }
+  }
+  return Status::OK();
 }
 
-Status Server::ReleaseLocks(ClientId client,
-                            const std::vector<ObjectId>& objects,
-                            const std::vector<PageId>& pages) {
-  EndpointLock lock(mu_, rpc_->transport(), client);
-  if (crashed_) return Status::Crashed("server down");
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "release_locks", client,
-               MessageType::kLockRequest,
-               1, objects.size() * 8 + pages.size() * 4 + kSmallMsg),
-      [&](RpcReply* rep) -> Status {
-        return ReleaseLocksBody(client, objects, pages, rep);
-      });
-}
-
-Status Server::ReleaseLocksBody(ClientId client,
-                                const std::vector<ObjectId>& objects,
-                                const std::vector<PageId>& pages,
-                                RpcReply* rep) {
-  FINELOG_RETURN_IF_ERROR(MastershipAdmission());
-  FINELOG_RETURN_IF_ERROR(LivenessAdmission(client));
-  for (const ObjectId& oid : objects) {
+Answer<wire::ReleaseLocks> Server::Handle(ClientId client,
+                                          const wire::ReleaseLocks& req) {
+  for (const ObjectId& oid : req.objects) {
     glm_.ReleaseObject(client, oid);
   }
-  for (PageId pid : pages) {
+  for (PageId pid : req.pages) {
     glm_.ReleasePage(client, pid);
   }
   // Entries whose pages are already on disk can now leave the DCT (the
@@ -928,98 +774,50 @@ Status Server::ReleaseLocksBody(ClientId client,
       dct_.Remove(e.page, client);
     }
   }
-  rep->Set(MessageType::kLockReply, kSmallMsg);
   metrics_->Add(Counter::kServerLockReleases);
   return Status::OK();
 }
 
-Status Server::CommitShipLogs(ClientId client, size_t log_bytes) {
-  EndpointLock lock(mu_, rpc_->transport(), client);
-  if (crashed_) return Status::Crashed("server down");
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "commit_ship_logs", client,
-               MessageType::kCommitShipLogs, 1, log_bytes),
-      [&](RpcReply* rep) -> Status {
-        FINELOG_RETURN_IF_ERROR(MastershipAdmission());
-        FINELOG_RETURN_IF_ERROR(LivenessAdmission(client));
-        // ARIES/CSA: the server forces the shipped records to its log before
-        // acknowledging. The records themselves are not interpreted (the
-        // client retains its own copy); only the durability cost is
-        // modelled.
-        channel_->clock()->Advance(channel_->costs().log_force_us);
-        metrics_->Add(Counter::kServerCommitLogShips);
-        rep->Set(MessageType::kCommitAck, kSmallMsg);
-        return Status::OK();
-      });
+Answer<wire::CommitShipLogs> Server::Handle(ClientId,
+                                            const wire::CommitShipLogs&) {
+  // ARIES/CSA: the server forces the shipped records to its log before
+  // acknowledging. The records themselves are not interpreted (the client
+  // retains its own copy); only the durability cost is modelled.
+  channel_->clock()->Advance(channel_->costs().log_force_us);
+  metrics_->Add(Counter::kServerCommitLogShips);
+  return Status::OK();
 }
 
-Status Server::CommitShipPages(ClientId client,
-                               const std::vector<ShippedPage>& pages) {
-  EndpointLock lock(mu_, rpc_->transport(), client);
-  if (crashed_) return Status::Crashed("server down");
-  size_t bytes = 0;
-  for (const ShippedPage& p : pages) bytes += p.wire_size();
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "commit_ship_pages", client,
-               MessageType::kCommitShipPages, 1, bytes),
-      [&](RpcReply* rep) -> Status {
-        FINELOG_RETURN_IF_ERROR(MastershipAdmission());
-        FINELOG_RETURN_IF_ERROR(LivenessAdmission(client));
-        for (const ShippedPage& p : pages) {
-          FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(p.page));
-          FINELOG_RETURN_IF_ERROR(ApplyShippedPage(client, p));
-        }
-        channel_->clock()->Advance(channel_->costs().log_force_us);
-        metrics_->Add(Counter::kServerCommitPageShips);
-        rep->Set(MessageType::kCommitAck, kSmallMsg);
-        return Status::OK();
-      });
+Answer<wire::CommitShipPages> Server::Handle(ClientId client,
+                                             const wire::CommitShipPages& req) {
+  for (const ShippedPage& p : req.pages) {
+    FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(p.page));
+    FINELOG_RETURN_IF_ERROR(ApplyShippedPage(client, p));
+  }
+  channel_->clock()->Advance(channel_->costs().log_force_us);
+  metrics_->Add(Counter::kServerCommitPageShips);
+  return Status::OK();
 }
 
-Result<TokenReply> Server::AcquireToken(ClientId client, PageId pid) {
-  EndpointLock lock(mu_, rpc_->transport(), client);
-  if (crashed_) return Status::Crashed("server down");
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "acquire_token", client,
-               MessageType::kTokenRequest, 1, kSmallMsg),
-      [&](RpcReply* rep) -> Result<TokenReply> {
-        return AcquireTokenBody(client, pid, rep);
-      });
-}
-
-Result<TokenReply> Server::AcquireTokenBody(ClientId client, PageId pid,
-                                            RpcReply* rep) {
-  FINELOG_RETURN_IF_ERROR(MastershipAdmission());
-  FINELOG_RETURN_IF_ERROR(LivenessAdmission(client));
+Answer<wire::AcquireToken> Server::Handle(ClientId client,
+                                          const wire::AcquireToken& req) {
+  const PageId pid = req.pid;
   FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(pid));
   metrics_->Add(Counter::kServerTokenRequests);
   auto it = token_holder_.find(pid);
   if (it != token_holder_.end() && it->second == client) {
-    rep->Set(MessageType::kTokenReply, kSmallMsg);
     return TokenReply{};
   }
   if (it != token_holder_.end()) {
     ClientId holder = it->second;
     if (ClientUnreachable(holder)) {
-      rep->Set(MessageType::kTokenReply, kSmallMsg);
-      return Status::WouldBlock(WouldBlockReason::kCrashedDependency,
-                                "token holder unreachable");
+      return Refusal{Status::WouldBlock(WouldBlockReason::kCrashedDependency,
+                                        "token holder unreachable")};
     }
-    auto shipped = rpc_->Call(
-        MakeOpts(RpcDir::kServerToClient, "token_recall", holder,
-                 MessageType::kTokenRecall, 1, kSmallMsg),
-        [&](RpcReply* recall_rep) -> Result<ShippedPage> {
-          auto sp = clients_.at(holder)->HandleTokenRecall(pid);
-          if (sp.ok()) {
-            recall_rep->Set(MessageType::kTokenRecallReply,
-                            sp.value().wire_size());
-          }
-          return sp;
-        });
-    if (!shipped.ok()) {
-      rep->Set(MessageType::kTokenReply, kSmallMsg);
-      return shipped.status();
-    }
+    auto shipped = rpc_->Exchange(holder, wire::TokenRecall{}, [&] {
+      return clients_.at(holder)->HandleTokenRecall(pid);
+    });
+    if (!shipped.ok()) return Refusal{shipped.status()};
     if (!shipped.value().image.empty()) {
       FINELOG_RETURN_IF_ERROR(ApplyShippedPage(holder, shipped.value()));
     }
@@ -1031,9 +829,13 @@ Result<TokenReply> Server::AcquireTokenBody(ClientId client, PageId pid,
   if (frame.ok()) {
     reply.page_image = frame.value()->page.raw();
   }
-  rep->Set(MessageType::kTokenReply,
-           kSmallMsg + (reply.page_image ? reply.page_image->size() : 0));
   return reply;
+}
+
+Answer<wire::Heartbeat> Server::Handle(ClientId, const wire::Heartbeat&) {
+  // The fences in Dispatch are the whole exchange: an admitted request
+  // renews the lease.
+  return Status::OK();
 }
 
 Status Server::TakeCheckpoint() {
@@ -1058,14 +860,8 @@ Status Server::TakeSynchronizedCheckpoint() {
   for (const auto& [id, ep] : clients_) {
     if (ClientUnreachable(id)) continue;
     ClientEndpoint* endpoint = ep;
-    Status st = rpc_->Call(
-        MakeOpts(RpcDir::kServerToClient, "checkpoint_sync", id,
-                 MessageType::kCheckpointSync, 1, kSmallMsg),
-        [&](RpcReply* rep) -> Status {
-          FINELOG_RETURN_IF_ERROR(endpoint->HandleCheckpointSync());
-          rep->Set(MessageType::kCheckpointSyncReply, kSmallMsg);
-          return Status::OK();
-        });
+    Status st = rpc_->Exchange(id, wire::CheckpointSync{},
+                               [&] { return endpoint->HandleCheckpointSync(); });
     FINELOG_RETURN_IF_ERROR(st);
   }
   metrics_->Add(Counter::kServerSyncCheckpoints);
@@ -1118,100 +914,54 @@ Status Server::FlushAllPages() {
   return Status::OK();
 }
 
-Result<DctSnapshot> Server::RecGetMyDct(ClientId client) {
-  EndpointLock lock(mu_, rpc_->transport(), client);
-  if (crashed_) return Status::Crashed("server down");
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "rec_get_dct", client,
-               MessageType::kRecGetDct, 1, kSmallMsg, /*recovery_plane=*/true),
-      [&](RpcReply* rep) -> Result<DctSnapshot> {
-        liveness_.OpenRecoveryWindow(client);
-        DctSnapshot snap;
-        snap.authoritative = dct_authoritative_;
-        snap.entries = dct_.EntriesForClient(client);
-        rep->Set(MessageType::kRecDctReply,
-                 snap.entries.size() * 24 + kSmallMsg);
-        return snap;
-      });
+Answer<wire::RecGetMyDct> Server::Handle(ClientId client,
+                                         const wire::RecGetMyDct&) {
+  DctSnapshot snap;
+  snap.authoritative = dct_authoritative_;
+  snap.entries = dct_.EntriesForClient(client);
+  return snap;
 }
 
-Result<ClientRecoveryState> Server::RecGetMyXLocks(ClientId client) {
-  EndpointLock lock(mu_, rpc_->transport(), client);
-  if (crashed_) return Status::Crashed("server down");
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "rec_get_xlocks", client,
-               MessageType::kRecXLocksFetch, 1, kSmallMsg,
-               /*recovery_plane=*/true),
-      [&](RpcReply* rep) -> Result<ClientRecoveryState> {
-        liveness_.OpenRecoveryWindow(client);
-        ClientRecoveryState state;
-        for (const ObjectId& oid : glm_.ExclusiveObjectLocksOf(client)) {
-          state.object_locks.emplace_back(oid, LockMode::kExclusive);
-        }
-        for (PageId pid : glm_.ExclusivePageLocksOf(client)) {
-          state.page_locks.emplace_back(pid, LockMode::kExclusive);
-        }
-        rep->Set(MessageType::kRecXLocksReply,
-                 state.object_locks.size() * 8 + state.page_locks.size() * 8 +
-                     kSmallMsg);
-        return state;
-      });
+Answer<wire::RecGetMyXLocks> Server::Handle(ClientId client,
+                                            const wire::RecGetMyXLocks&) {
+  ClientRecoveryState state;
+  for (const ObjectId& oid : glm_.ExclusiveObjectLocksOf(client)) {
+    state.object_locks.emplace_back(oid, LockMode::kExclusive);
+  }
+  for (PageId pid : glm_.ExclusivePageLocksOf(client)) {
+    state.page_locks.emplace_back(pid, LockMode::kExclusive);
+  }
+  return state;
 }
 
-Result<ClientRecoveryState> Server::RecInstallLocks(
-    ClientId client, const std::vector<ObjectId>& objects,
-    const std::vector<PageId>& pages) {
-  EndpointLock lock(mu_, rpc_->transport(), client);
-  if (crashed_) return Status::Crashed("server down");
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "rec_install_locks", client,
-               MessageType::kRecXLocksFetch, 1,
-               objects.size() * 8 + pages.size() * 8 + kSmallMsg,
-               /*recovery_plane=*/true),
-      [&](RpcReply* rep) -> Result<ClientRecoveryState> {
-        liveness_.OpenRecoveryWindow(client);
-        ClientRecoveryState accepted;
-        for (const ObjectId& oid : objects) {
-          // A conflicting lock held by another client proves this claim is
-          // an over-claim (the crashed client's lock was called back or
-          // downgraded before the failure).
-          if (!glm_.RequiredForObject(client, oid, LockMode::kExclusive)
-                   .empty()) {
-            continue;
-          }
-          glm_.GrantObject(client, oid, LockMode::kExclusive);
-          accepted.object_locks.emplace_back(oid, LockMode::kExclusive);
-        }
-        for (PageId pid : pages) {
-          if (!glm_.RequiredForPage(client, pid, LockMode::kExclusive)
-                   .empty()) {
-            continue;
-          }
-          glm_.GrantPage(client, pid, LockMode::kExclusive);
-          accepted.page_locks.emplace_back(pid, LockMode::kExclusive);
-        }
-        rep->Set(MessageType::kRecXLocksReply, kSmallMsg);
-        return accepted;
-      });
-}
-
-Result<PageFetchReply> Server::RecFetchPage(ClientId client, PageId pid) {
-  EndpointLock lock(mu_, rpc_->transport(), client);
-  if (crashed_) return Status::Crashed("server down");
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "rec_fetch_page", client,
-               MessageType::kRecPageFetch, 1, kSmallMsg,
-               /*recovery_plane=*/true),
-      [&](RpcReply* rep) -> Result<PageFetchReply> {
-        return RecFetchPageBody(client, pid, rep);
-      });
+Answer<wire::RecInstallLocks> Server::Handle(
+    ClientId client, const wire::RecInstallLocks& req) {
+  ClientRecoveryState accepted;
+  for (const ObjectId& oid : req.objects) {
+    // A conflicting lock held by another client proves this claim is an
+    // over-claim (the crashed client's lock was called back or downgraded
+    // before the failure).
+    if (!glm_.RequiredForObject(client, oid, LockMode::kExclusive).empty()) {
+      continue;
+    }
+    glm_.GrantObject(client, oid, LockMode::kExclusive);
+    accepted.object_locks.emplace_back(oid, LockMode::kExclusive);
+  }
+  for (PageId pid : req.pages) {
+    if (!glm_.RequiredForPage(client, pid, LockMode::kExclusive).empty()) {
+      continue;
+    }
+    glm_.GrantPage(client, pid, LockMode::kExclusive);
+    accepted.page_locks.emplace_back(pid, LockMode::kExclusive);
+  }
+  return accepted;
 }
 
 FINELOG_REPLAY_PATH("recovery plane: reconstructs a never-flushed page "
                     "from its space-map allocation PSN (Section 2 / [18])")
-Result<PageFetchReply> Server::RecFetchPageBody(ClientId client, PageId pid,
-                                                RpcReply* rep) {
-  liveness_.OpenRecoveryWindow(client);
+Answer<wire::RecFetchPage> Server::Handle(ClientId client,
+                                          const wire::RecFetchPage& req) {
+  const PageId pid = req.pid;
   // Lazy restart: the base image a restarting client replays onto must
   // already carry every other client's restart repair for this page.
   FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(pid));
@@ -1247,78 +997,54 @@ Result<PageFetchReply> Server::RecFetchPageBody(ClientId client, PageId pid,
       reply.dct_psn = base.ok() ? base.value() : kNullPsn;
     }
   }
-  rep->Set(MessageType::kRecPageReply, reply.page_image.size() + kSmallMsg);
   return reply;
 }
 
-Status Server::RecComplete(ClientId client) {
-  EndpointLock lock(mu_, rpc_->transport(), client);
-  if (crashed_) return Status::Crashed("server down");
-  // Request-only exchange: completion is announced, never acknowledged.
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "rec_complete", client,
-               MessageType::kRecGetDct, 1, kSmallMsg,
-               /*recovery_plane=*/true),
-      [&](RpcReply*) -> Status {
-        crashed_clients_.erase(client);
-        // The standby's crashed set (seeded by the same harness hooks) must
-        // not outlive this recovery, or a later takeover would treat the
-        // operational client as still down and drop its lock state.
-        ReplicateClientOperational(client);
-        liveness_.CloseRecoveryWindow(client);
-        if (liveness_.IsPresumedDead(client)) {
-          // Balance the declaration with a durable clearing record *before*
-          // lifting the quarantine, so a server restart between the two
-          // cannot resurrect a stale presumed-dead status.
-          FINELOG_RETURN_IF_ERROR(
-              AppendMembershipRecord(client, /*presumed_dead=*/false));
-          liveness_.MarkRecovered(client, channel_->clock()->now_us());
-          metrics_->Add(Counter::kLivenessRecoveredZombies);
-        }
-        if (crashed_clients_.empty() && !liveness_.AnyPresumedDead()) {
-          dct_authoritative_ = true;
-        }
-        // Retry page recoveries that were waiting on this client
-        // (Section 3.5).
-        std::vector<std::pair<ClientId, PageId>> pending;
-        pending.swap(deferred_recoveries_);
-        for (const auto& [c, p] : pending) {
-          // Lazy restart: the page's remaining task list (other clients'
-          // pulls/replays) must run before this pair's deferred replay, or
-          // the replay would merge onto an unrepaired base.
-          if (PageRecoveryPending(p)) {
-            Status pre = AttemptPageRepair(p, /*demand=*/true);
-            if (pre.IsWouldBlock()) {
-              deferred_recoveries_.emplace_back(c, p);
-              continue;
-            } else if (!pre.ok()) {
-              return pre;
-            }
-          }
-          Status st = CoordinatePageRecovery(p, c);
-          if (st.IsCrashed() || st.IsWouldBlock()) {
-            deferred_recoveries_.emplace_back(c, p);
-          } else if (!st.ok()) {
-            return st;
-          }
-        }
-        return Status::OK();
-      });
-}
-
-Status Server::Heartbeat(ClientId client) {
-  EndpointLock lock(mu_, rpc_->transport(), client);
-  if (crashed_) return Status::Crashed("server down");
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "heartbeat", client,
-               MessageType::kHeartbeat, 1, kSmallMsg),
-      [&](RpcReply* rep) -> Status {
-        metrics_->Add(Counter::kLivenessHeartbeatsReceived);
-        FINELOG_RETURN_IF_ERROR(MastershipAdmission());
-        FINELOG_RETURN_IF_ERROR(LivenessAdmission(client));
-        rep->Set(MessageType::kHeartbeatAck, kSmallMsg);
-        return Status::OK();
-      });
+Answer<wire::RecComplete> Server::Handle(ClientId client,
+                                         const wire::RecComplete&) {
+  crashed_clients_.erase(client);
+  // The standby's crashed set (seeded by the same harness hooks) must
+  // not outlive this recovery, or a later takeover would treat the
+  // operational client as still down and drop its lock state.
+  ReplicateClientOperational(client);
+  liveness_.CloseRecoveryWindow(client);
+  if (liveness_.IsPresumedDead(client)) {
+    // Balance the declaration with a durable clearing record *before*
+    // lifting the quarantine, so a server restart between the two
+    // cannot resurrect a stale presumed-dead status.
+    FINELOG_RETURN_IF_ERROR(
+        AppendMembershipRecord(client, /*presumed_dead=*/false));
+    liveness_.MarkRecovered(client, channel_->clock()->now_us());
+    metrics_->Add(Counter::kLivenessRecoveredZombies);
+  }
+  if (crashed_clients_.empty() && !liveness_.AnyPresumedDead()) {
+    dct_authoritative_ = true;
+  }
+  // Retry page recoveries that were waiting on this client
+  // (Section 3.5).
+  std::vector<std::pair<ClientId, PageId>> pending;
+  pending.swap(deferred_recoveries_);
+  for (const auto& [c, p] : pending) {
+    // Lazy restart: the page's remaining task list (other clients'
+    // pulls/replays) must run before this pair's deferred replay, or
+    // the replay would merge onto an unrepaired base.
+    if (PageRecoveryPending(p)) {
+      Status pre = AttemptPageRepair(p, /*demand=*/true);
+      if (pre.IsWouldBlock()) {
+        deferred_recoveries_.emplace_back(c, p);
+        continue;
+      } else if (!pre.ok()) {
+        return pre;
+      }
+    }
+    Status st = CoordinatePageRecovery(p, c);
+    if (st.IsCrashed() || st.IsWouldBlock()) {
+      deferred_recoveries_.emplace_back(c, p);
+    } else if (!st.ok()) {
+      return st;
+    }
+  }
+  return Status::OK();
 }
 
 Status Server::LivenessAdmission(ClientId client) {
@@ -1468,12 +1194,10 @@ Result<uint64_t> Server::FailoverProbe(ClientId client) {
   if (mastership_ == nullptr) {
     return Status::FailedPrecondition("mastership not configured");
   }
-  return rpc_->Call(
-      MakeOpts(RpcDir::kClientToServer, "failover_probe", client,
-               MessageType::kFailoverProbe, 1, kSmallMsg),
-      [&](RpcReply* rep) -> Result<uint64_t> {
+  return rpc_->Exchange(
+      client, wire::FailoverProbe{},
+      [&]() -> Answer<wire::FailoverProbe> {
         metrics_->Add(Counter::kFailoverProbes);
-        rep->Set(MessageType::kFailoverProbeReply, kSmallMsg);
         const uint64_t now = channel_->clock()->now_us();
         if (!crashed_) {
           // Already serving (the probe raced a recovery, or the client's
@@ -1551,10 +1275,9 @@ void Server::ReplicateMembership(ClientId member, bool presumed_dead) {
   if (peer_ == nullptr || mastership_ == nullptr) return;
   Server* peer = peer_;
   const uint64_t epoch = mastership_epoch_;
-  rpc_->Send(MakeOpts(RpcDir::kClientToServer, "standby_membership", kServerId,
-                      MessageType::kStandbyMembership, 1, kSmallMsg),
-             [&] { peer->ApplyReplicatedMembership(member, presumed_dead,
-                                                   epoch); });
+  rpc_->Notify(kServerId, wire::StandbyMembership{}, [&] {
+    peer->ApplyReplicatedMembership(member, presumed_dead, epoch);
+  });
   metrics_->Add(Counter::kFailoverReplRecordsShipped);
 }
 
@@ -1562,9 +1285,8 @@ void Server::ReplicateCheckpoint() {
   if (peer_ == nullptr || mastership_ == nullptr) return;
   Server* peer = peer_;
   const uint64_t epoch = mastership_epoch_;
-  rpc_->Send(MakeOpts(RpcDir::kClientToServer, "standby_checkpoint", kServerId,
-                      MessageType::kStandbyCheckpoint, 1, kSmallMsg),
-             [&] { peer->ApplyReplicatedCheckpoint(epoch); });
+  rpc_->Notify(kServerId, wire::StandbyCheckpoint{},
+               [&] { peer->ApplyReplicatedCheckpoint(epoch); });
   metrics_->Add(Counter::kFailoverReplRecordsShipped);
 }
 
@@ -1597,9 +1319,8 @@ void Server::ReplicateClientOperational(ClientId client) {
   if (peer_ == nullptr || mastership_ == nullptr) return;
   Server* peer = peer_;
   const uint64_t epoch = mastership_epoch_;
-  rpc_->Send(MakeOpts(RpcDir::kClientToServer, "standby_membership", kServerId,
-                      MessageType::kStandbyMembership, 1, kSmallMsg),
-             [&] { peer->ApplyReplicatedOperational(client, epoch); });
+  rpc_->Notify(kServerId, wire::StandbyMembership{},
+               [&] { peer->ApplyReplicatedOperational(client, epoch); });
   metrics_->Add(Counter::kFailoverReplRecordsShipped);
 }
 

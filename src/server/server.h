@@ -3,8 +3,8 @@
 // buffer pool, and the server log (replacement + checkpoint records only --
 // the server never logs data updates; those live in client logs).
 //
-// Implements the ServerEndpoint RPC surface for normal processing and for
-// the recovery protocols of Sections 3.3-3.5.
+// Serves the client/server exchanges of net/endpoints.h for normal
+// processing and for the recovery protocols of Sections 3.3-3.5.
 
 #ifndef FINELOG_SERVER_SERVER_H_
 #define FINELOG_SERVER_SERVER_H_
@@ -37,7 +37,6 @@
 namespace finelog {
 
 class Rpc;
-class RpcReply;
 
 class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
  public:
@@ -98,45 +97,9 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
   // (Section 2 / [18]).
   Status DeallocatePage(PageId pid);
 
-  // ServerEndpoint ----------------------------------------------------------
-
-  Result<ObjectLockReply> LockObject(ClientId client, ObjectId oid,
-                                     LockMode mode, Psn cached_psn) override;
-  Result<PageLockReply> LockPage(ClientId client, PageId pid, LockMode mode,
-                                 Psn cached_psn) override;
-  Result<PageFetchReply> FetchPage(ClientId client, PageId pid) override;
-  Status ShipPage(ClientId client, const ShippedPage& page) override;
-  Result<std::vector<ObjectLockOutcome>> LockObjectBatch(
-      ClientId client, const std::vector<ObjectLockRequest>& items) override;
-  Result<std::vector<PageFetchReply>> FetchPages(
-      ClientId client, const std::vector<PageId>& pids) override;
-  Status ShipPages(ClientId client,
-                   const std::vector<ShippedPage>& pages) override;
-  Result<AllocReply> AllocatePage(ClientId client) override;
-  Status ForcePage(ClientId client, PageId pid) override;
-  Status ReleaseLocks(ClientId client, const std::vector<ObjectId>& objects,
-                      const std::vector<PageId>& pages) override;
-  Status CommitShipLogs(ClientId client, size_t log_bytes) override;
-  Status CommitShipPages(ClientId client,
-                         const std::vector<ShippedPage>& pages) override;
-  Result<TokenReply> AcquireToken(ClientId client, PageId pid) override;
-  Result<DctSnapshot> RecGetMyDct(ClientId client) override;
-  Result<ClientRecoveryState> RecGetMyXLocks(ClientId client) override;
-  Result<PageFetchReply> RecFetchPage(ClientId client, PageId pid) override;
-  Status RecComplete(ClientId client) override;
-  Result<PageFetchReply> RecOrderedFetch(ClientId client, PageId pid,
-                                         ClientId other, Psn psn) override;
-
-  Result<ClientRecoveryState> RecInstallLocks(
-      ClientId client, const std::vector<ObjectId>& objects,
-      const std::vector<PageId>& pages) override;
-  Result<std::vector<CallbackListEntry>> RecGetCallbackList(
-      ClientId client, PageId pid) override;
-
-  // Liveness (DESIGN.md section 14): lease renewal. Every admitted request
-  // also renews the lease; the explicit heartbeat covers idle clients. A
-  // presumed-dead caller is fenced with WouldBlockReason::kZombieFenced.
-  Status Heartbeat(ClientId client) override;
+  // ServerEndpoint: every request runs through one prologue (Dispatch)
+  // and then its protocol handler (Handle).
+  void Serve(ClientId client, AnyServerCall call) override;
 
   // Hot standby / mastership (DESIGN.md section 19) --------------------------
 
@@ -280,41 +243,63 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
                           std::vector<XCallbackInfo>* x_callbacks)
       FINELOG_REQUIRES(mu_);
 
-  // One callback hop against one target, with its reply payload size
-  // reported through `reply_bytes` instead of counted on the channel (the
-  // caller charges whole batches).
+  // One callback hop against one target; the client's answer is recorded
+  // in `replies` (the caller charges whole batches).
   Status ExecuteOneCallback(const CallbackAction& action,
                             std::vector<XCallbackInfo>* x_callbacks,
-                            size_t* reply_bytes) FINELOG_REQUIRES(mu_);
-
-  // Grant logic of LockObject/FetchPage without the request/reply channel
-  // accounting, so single and batched entry points share one implementation.
-  // `reply_bytes` reports the payload the reply message would carry.
-  Result<ObjectLockReply> LockObjectInternal(ClientId client, ObjectId oid,
-                                             LockMode mode, Psn cached_psn,
-                                             size_t* reply_bytes)
-      FINELOG_REQUIRES(mu_);
-  Result<PageFetchReply> FetchPageInternal(ClientId client, PageId pid,
-                                           size_t* reply_bytes)
+                            wire::CallbackReplies* replies)
       FINELOG_REQUIRES(mu_);
 
-  // Endpoint bodies run inside the RPC chokepoint; each records its reply
-  // message (granted or denied) through `rep`.
-  Result<PageLockReply> LockPageBody(ClientId client, PageId pid,
-                                     LockMode mode, Psn cached_psn,
-                                     RpcReply* rep) FINELOG_REQUIRES(mu_);
-  Status ReleaseLocksBody(ClientId client,
-                          const std::vector<ObjectId>& objects,
-                          const std::vector<PageId>& pages, RpcReply* rep)
+  // The prologue every request runs (DESIGN.md section 13): the endpoint
+  // lock, the crash check, the Rpc exchange with the request's options and
+  // sizes, the mastership and liveness fences (the recovery plane opens
+  // its recovery window instead), then the request's handler.
+  template <typename Req>
+  ReplyOf<Req> Dispatch(ClientId client, const Req& request);
+
+  // Protocol handlers, one per request; called only from Dispatch (and a
+  // batch handler from its batch's own handler).
+  Answer<wire::LockObject> Handle(ClientId, const wire::LockObject&)
       FINELOG_REQUIRES(mu_);
-  Result<TokenReply> AcquireTokenBody(ClientId client, PageId pid,
-                                      RpcReply* rep) FINELOG_REQUIRES(mu_);
-  Result<PageFetchReply> RecFetchPageBody(ClientId client, PageId pid,
-                                          RpcReply* rep)
+  Answer<wire::LockObjectBatch> Handle(ClientId, const wire::LockObjectBatch&)
       FINELOG_REQUIRES(mu_);
-  Result<PageFetchReply> RecOrderedFetchBody(ClientId client, PageId pid,
-                                             ClientId other, Psn psn,
-                                             RpcReply* rep)
+  Answer<wire::LockPage> Handle(ClientId, const wire::LockPage&)
+      FINELOG_REQUIRES(mu_);
+  Answer<wire::FetchPage> Handle(ClientId, const wire::FetchPage&)
+      FINELOG_REQUIRES(mu_);
+  Answer<wire::FetchPages> Handle(ClientId, const wire::FetchPages&)
+      FINELOG_REQUIRES(mu_);
+  Answer<wire::ShipPage> Handle(ClientId, const wire::ShipPage&)
+      FINELOG_REQUIRES(mu_);
+  Answer<wire::ShipPages> Handle(ClientId, const wire::ShipPages&)
+      FINELOG_REQUIRES(mu_);
+  Answer<wire::AllocatePage> Handle(ClientId, const wire::AllocatePage&)
+      FINELOG_REQUIRES(mu_);
+  Answer<wire::ForcePage> Handle(ClientId, const wire::ForcePage&)
+      FINELOG_REQUIRES(mu_);
+  Answer<wire::ReleaseLocks> Handle(ClientId, const wire::ReleaseLocks&)
+      FINELOG_REQUIRES(mu_);
+  Answer<wire::CommitShipLogs> Handle(ClientId, const wire::CommitShipLogs&)
+      FINELOG_REQUIRES(mu_);
+  Answer<wire::CommitShipPages> Handle(ClientId, const wire::CommitShipPages&)
+      FINELOG_REQUIRES(mu_);
+  Answer<wire::AcquireToken> Handle(ClientId, const wire::AcquireToken&)
+      FINELOG_REQUIRES(mu_);
+  Answer<wire::Heartbeat> Handle(ClientId, const wire::Heartbeat&)
+      FINELOG_REQUIRES(mu_);
+  Answer<wire::RecGetMyDct> Handle(ClientId, const wire::RecGetMyDct&)
+      FINELOG_REQUIRES(mu_);
+  Answer<wire::RecGetMyXLocks> Handle(ClientId, const wire::RecGetMyXLocks&)
+      FINELOG_REQUIRES(mu_);
+  Answer<wire::RecFetchPage> Handle(ClientId, const wire::RecFetchPage&)
+      FINELOG_REQUIRES(mu_);
+  Answer<wire::RecComplete> Handle(ClientId, const wire::RecComplete&)
+      FINELOG_REQUIRES(mu_);
+  Answer<wire::RecInstallLocks> Handle(ClientId, const wire::RecInstallLocks&)
+      FINELOG_REQUIRES(mu_);
+  Answer<wire::RecGetCallbackList> Handle(ClientId, const wire::RecGetCallbackList&)
+      FINELOG_REQUIRES(mu_);
+  Answer<wire::RecOrderedFetch> Handle(ClientId, const wire::RecOrderedFetch&)
       FINELOG_REQUIRES(mu_);
 
   // Merges a shipped page into the server copy and updates the DCT.

@@ -32,27 +32,6 @@
 
 namespace finelog {
 
-namespace {
-
-constexpr size_t kSmallMsg = 32;
-
-// Recovery-plane exchanges: exempt from injected wire faults unless the
-// config opts recovery traffic in (NetFaultConfig::fault_recovery).
-CallOptions RecOpts(RpcDir dir, const char* endpoint, ClientId peer,
-                    MessageType req_type, uint64_t req_bytes) {
-  CallOptions opts;
-  opts.dir = dir;
-  opts.endpoint = endpoint;
-  opts.peer = peer;
-  opts.req_type = req_type;
-  opts.req_items = 1;
-  opts.req_bytes = req_bytes;
-  opts.recovery_plane = true;
-  return opts;
-}
-
-}  // namespace
-
 Status Server::Restart() {
   SimMutexLock lock(mu_);
   return RestartLocked();
@@ -117,19 +96,8 @@ Status Server::RebuildGlmAndCollectState(
   for (const auto& [cid, ep] : clients_) {
     if (ClientUnreachable(cid)) continue;
     ClientEndpoint* endpoint = ep;
-    auto state = rpc_->Call(
-        RecOpts(RpcDir::kServerToClient, "rec_get_state", cid,
-                MessageType::kRecGetDpt, kSmallMsg),
-        [&](RpcReply* rep) -> Result<ClientRecoveryState> {
-          auto s = endpoint->HandleRecGetState();
-          if (s.ok()) {
-            rep->Set(MessageType::kRecDptReply,
-                     s.value().dpt.size() * 12 +
-                         s.value().cached_pages.size() * 4 +
-                         s.value().object_locks.size() * 8 + kSmallMsg);
-          }
-          return s;
-        });
+    auto state = rpc_->Exchange(cid, wire::RecGetState{},
+                                [&] { return endpoint->HandleRecGetState(); });
     if (!state.ok()) {
       if (liveness_enabled() && state.status().IsWouldBlock() &&
           state.status().would_block_reason() ==
@@ -264,17 +232,9 @@ Result<std::vector<CallbackListEntry>> Server::CollectCallbackList(
     // private log, which is readable without the client's volatile state
     // (Section 2 allows any node with access to a log to process it).
     ClientEndpoint* endpoint = ep;
-    auto entries = rpc_->Call(
-        RecOpts(RpcDir::kServerToClient, "rec_scan_callbacks", cid,
-                MessageType::kRecScanCallbacks, kSmallMsg),
-        [&](RpcReply* rep) -> Result<std::vector<CallbackListEntry>> {
-          auto e = endpoint->HandleRecScanCallbacks(pid, client);
-          if (e.ok()) {
-            rep->Set(MessageType::kRecCallbacksReply,
-                     e.value().size() * 16 + kSmallMsg);
-          }
-          return e;
-        });
+    auto entries = rpc_->Exchange(cid, wire::RecScanCallbacks{}, [&] {
+      return endpoint->HandleRecScanCallbacks(pid, client);
+    });
     if (!entries.ok()) return entries.status();
     for (const CallbackListEntry& e : entries.value()) {
       auto [it, inserted] = merged.try_emplace(e.object, e.psn);
@@ -334,19 +294,10 @@ Status Server::ReplayClientLog(PageId pid, ClientId client, Psn up_to) {
   // body adopts mu_ for the call and those re-entries recurse instead of
   // deadlocking (DESIGN.md section 17).
   SimMutexAdopt adopt(mu_);
-  return rpc_->Call(
-      RecOpts(RpcDir::kServerToClient, "rec_recover_page", client,
-              MessageType::kRecRecoverPage,
-              base_image.value().size() + kSmallMsg),
-      [&](RpcReply* rep) -> Status {
-        Status s = endpoint->HandleRecRecoverPage(pid, list.value(),
-                                                  base_image.value(), base_psn,
-                                                  up_to);
-        // The completion reply is sent (and counted) even when replay fails:
-        // the client reports the failure back to the coordinator.
-        rep->Set(MessageType::kRecRecoverPageReply, kSmallMsg);
-        return s;
-      });
+  return rpc_->Exchange(client, wire::RecRecoverPage{base_image.value()}, [&] {
+    return endpoint->HandleRecRecoverPage(pid, list.value(), base_image.value(),
+                                          base_psn, up_to);
+  });
 }
 
 Status Server::ReloadMembership() {
@@ -378,64 +329,38 @@ Status Server::ReloadMembership() {
   return Status::OK();
 }
 
-Result<std::vector<CallbackListEntry>> Server::RecGetCallbackList(
-    ClientId client, PageId pid) {
-  EndpointLock lock(mu_, rpc_->transport(), client);
-  if (crashed_) return Status::Crashed("server down");
-  return rpc_->Call(
-      RecOpts(RpcDir::kClientToServer, "rec_get_callback_list", client,
-              MessageType::kRecScanCallbacks, kSmallMsg),
-      [&](RpcReply* rep) -> Result<std::vector<CallbackListEntry>> {
-        liveness_.OpenRecoveryWindow(client);
-        FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(pid));
-        auto list = CollectCallbackList(pid, client);
-        if (list.ok()) {
-          rep->Set(MessageType::kRecCallbacksReply,
-                   list.value().size() * 16 + kSmallMsg);
-        }
-        return list;
-      });
+Answer<wire::RecGetCallbackList> Server::Handle(
+    ClientId client, const wire::RecGetCallbackList& req) {
+  FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(req.pid));
+  return CollectCallbackList(req.pid, client);
 }
 
-Result<PageFetchReply> Server::RecOrderedFetch(ClientId client, PageId pid,
-                                               ClientId other, Psn psn) {
-  EndpointLock lock(mu_, rpc_->transport(), client);
-  return rpc_->Call(
-      RecOpts(RpcDir::kClientToServer, "rec_ordered_fetch", client,
-              MessageType::kRecOrderedFetch, kSmallMsg),
-      [&](RpcReply* rep) -> Result<PageFetchReply> {
-        return RecOrderedFetchBody(client, pid, other, psn, rep);
-      });
-}
-
-Result<PageFetchReply> Server::RecOrderedFetchBody(ClientId client, PageId pid,
-                                                   ClientId other, Psn psn,
-                                                   RpcReply* rep) {
-  liveness_.OpenRecoveryWindow(client);
+Answer<wire::RecOrderedFetch> Server::Handle(
+    ClientId client, const wire::RecOrderedFetch& req) {
+  const PageId pid = req.pid;
   // Lazy restart: the ordered-fetch base must include every other client's
   // restart repair work before the requester replays its own log onto it.
   FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(pid));
   metrics_->Add(Counter::kServerOrderedFetches);
 
-  auto entry = dct_.Get(pid, other);
-  bool satisfied = entry && entry->psn != kNullPsn && entry->psn >= psn;
+  auto entry = dct_.Get(pid, req.other);
+  bool satisfied = entry && entry->psn != kNullPsn && entry->psn >= req.psn;
   if (!satisfied) {
-    if (ClientUnreachable(other) &&
+    if (ClientUnreachable(req.other) &&
         config_.lock_granularity != LockGranularity::kPage) {
       // Object granularity: the caller's machinery (deferred coordinated
       // recoveries, CallBack_P suppression) handles the dependency once the
       // client restarts. Page granularity instead runs the responder's
       // replay below even while it is down -- its session reads only the
       // durable log (Section 3.4 partial recovery).
-      rep->Set(MessageType::kRecOrderedFetchReply, kSmallMsg);
-      return Status::Crashed("ordering dependency on crashed client");
+      return Refusal{Status::Crashed("ordering dependency on crashed client")};
     }
     // If `other` still has the page cached, its copy is complete: pull it.
     // Otherwise `other` is recovering the page in parallel: ask it to
     // process all records with PSN < `psn` first (Section 3.4, last
     // paragraph).
-    Status pulled = PullCachedPage(pid, other);
-    if (pulled.IsNotFound()) pulled = ReplayClientLog(pid, other, psn);
+    Status pulled = PullCachedPage(pid, req.other);
+    if (pulled.IsNotFound()) pulled = ReplayClientLog(pid, req.other, req.psn);
     if (!pulled.ok()) return pulled;
   }
 
@@ -445,8 +370,6 @@ Result<PageFetchReply> Server::RecOrderedFetchBody(ClientId client, PageId pid,
   reply.page_image = frame.value()->page.raw();
   auto my_entry = dct_.Get(pid, client);
   reply.dct_psn = my_entry ? my_entry->psn : kNullPsn;
-  rep->Set(MessageType::kRecOrderedFetchReply,
-           reply.page_image.size() + kSmallMsg);
   return reply;
 }
 
@@ -577,16 +500,9 @@ Status Server::PullCachedPage(PageId pid, ClientId client) {
     return Status::Internal("unknown client in cache pull");
   }
   ClientEndpoint* endpoint = cit->second;
-  auto shipped = rpc_->Call(
-      RecOpts(RpcDir::kServerToClient, "rec_fetch_cached_page", client,
-              MessageType::kRecFetchCachedPage, kSmallMsg),
-      [&](RpcReply* rep) -> Result<ShippedPage> {
-        auto sp = endpoint->HandleRecFetchCachedPage(pid, suppress.value());
-        if (sp.ok()) {
-          rep->Set(MessageType::kRecCachedPageReply, sp.value().wire_size());
-        }
-        return sp;
-      });
+  auto shipped = rpc_->Exchange(client, wire::RecFetchCachedPage{}, [&] {
+    return endpoint->HandleRecFetchCachedPage(pid, suppress.value());
+  });
   if (!shipped.ok()) return shipped.status();
   return ApplyShippedPage(client, shipped.value(), /*update_dct_psn=*/false);
 }

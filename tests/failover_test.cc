@@ -153,11 +153,12 @@ TEST(FailoverTest, PartitionedOldPrimaryIsFenced) {
   const uint64_t fenced_before = m.Get(Counter::kFailoverDeposedFenced);
   Server& deposed = system->server_node(0);
   for (uint32_t c = 0; c < config.num_clients; ++c) {
-    Status st = deposed.Heartbeat(ClientId(c));
+    Status st = deposed.Call(ClientId(c), wire::Heartbeat{});
     EXPECT_TRUE(st.IsFailoverInProgress()) << st.ToString();
   }
-  auto lock = deposed.LockObject(ClientId(0), ObjectId{PageId(0), 0},
-                                 LockMode::kShared, Psn());
+  auto lock = deposed.Call(
+      ClientId(0),
+      wire::LockObject{ObjectId{PageId(0), 0}, LockMode::kShared, Psn()});
   EXPECT_TRUE(lock.status().IsFailoverInProgress())
       << lock.status().ToString();
   EXPECT_GT(m.Get(Counter::kFailoverDeposedFenced), fenced_before);
@@ -198,6 +199,18 @@ TEST(FailoverTest, DoubleFailoverFallsBackToFirstNode) {
   ExpectCleanFinish(system.get(), &oracle, &workload);
 }
 
+TEST(FailoverTest, ColdStandbyRefusesOrderedFetch) {
+  // A standby that has not taken over never opened its store: every request
+  // it receives, recovery plane included, must be refused as Crashed (the
+  // router's failover trigger) before anything touches the store.
+  SystemConfig config = FailoverConfig("failover_cold_ordered_fetch");
+  auto system = System::Create(config).value();
+  auto fetched = system->server_node(1).Call(
+      ClientId(0), wire::RecOrderedFetch{PageId(1), ClientId(1), Psn(1)});
+  ASSERT_FALSE(fetched.ok());
+  EXPECT_TRUE(fetched.status().IsCrashed()) << fetched.status().ToString();
+}
+
 TEST(FailoverTest, StandbyLeaseExpiryFallsBackWithoutTraffic) {
   SystemConfig config = FailoverConfig("failover_lease_expiry");
   auto system = System::Create(config).value();
@@ -215,7 +228,7 @@ TEST(FailoverTest, StandbyLeaseExpiryFallsBackWithoutTraffic) {
   EXPECT_EQ(system->metrics().Get(Counter::kFailoverTakeovers), 1u);
 
   // The deposed node notices on its next admission.
-  Status st = system->server_node(0).Heartbeat(ClientId(0));
+  Status st = system->server_node(0).Call(ClientId(0), wire::Heartbeat{});
   EXPECT_TRUE(st.IsFailoverInProgress()) << st.ToString();
 }
 

@@ -403,13 +403,30 @@ TEST_F(RecoveryTest, OrderedFetchSurfacesCorruptDiskPage) {
   const uint64_t sessions =
       system_->metrics().Get(Counter::kClientRecoverySessions);
   // Client 2 never cached page 5, so the server must replay its log.
-  auto fetched = system_->server().RecOrderedFetch(ClientId(1), PageId(5),
-                                                   ClientId(2), Psn(1));
+  auto fetched = system_->server().Call(
+      ClientId(1), wire::RecOrderedFetch{PageId(5), ClientId(2), Psn(1)});
   ASSERT_FALSE(fetched.ok());
   EXPECT_EQ(fetched.status().code(), StatusCode::kCorruption)
       << fetched.status().ToString();
   EXPECT_EQ(system_->metrics().Get(Counter::kClientRecoverySessions),
             sessions);
+}
+
+TEST_F(RecoveryTest, OrderedFetchRefusedWhileServerDown) {
+  // Every request runs the same prologue, so a crashed server refuses the
+  // ordered fetch like any other call instead of serving a page out of the
+  // dead node's pool.
+  Start("of_server_down");
+  CommittedWrite(0, ObjectId{PageId(1), 0}, Val('d'));
+  ASSERT_TRUE(system_->CrashServer().ok());
+  auto fetched = system_->server().Call(
+      ClientId(0), wire::RecOrderedFetch{PageId(1), ClientId(1), Psn(1)});
+  ASSERT_FALSE(fetched.ok());
+  EXPECT_TRUE(fetched.status().IsCrashed()) << fetched.status().ToString();
+  EXPECT_EQ(system_->server().pool().Peek(PageId(1)), nullptr);
+  auto rec_fetch =
+      system_->server().Call(ClientId(0), wire::RecFetchPage{PageId(1)});
+  EXPECT_TRUE(rec_fetch.status().IsCrashed()) << rec_fetch.status().ToString();
 }
 
 TEST_F(RecoveryTest, RecoverAllIdempotentWhenNothingCrashed) {

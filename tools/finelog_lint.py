@@ -49,6 +49,11 @@ Rules
                    prints a readable name, and no stale case survives an
                    enum edit. Degraded-path retry policy keys on these
                    values, so a silent gap ships undiagnosable refusals.
+  message-sizes    CallOptions and RpcReply (src/net/rpc.h) are named only
+                   under src/net/: message types and wire sizes are defined
+                   with the request structs in src/net/endpoints.h, so no
+                   endpoint body can hand-compute a message size or pick
+                   its own accounting options again.
   bench-registry   every numeric field in a committed BENCH_*.json at the
                    repo root must be registered in tools/bench_tolerances.json
                    (as a row key or a toleranced metric), so a new bench
@@ -312,6 +317,28 @@ def check_liveness_fail_points(relpath, text, stripped):
 # The rpc-chokepoint rule moved to tools/finelog_verify.py: the AST-level
 # call-graph version cannot be fooled by comments, strings or macro names,
 # and its fixture lives in tests/verify_fixtures/bad_raw_channel.cc.
+
+
+# --- message sizes live with the message definitions ------------------------
+
+NET_DIR = os.path.join("src", "net") + os.sep
+RPC_INTERNALS_RE = re.compile(r"\b(CallOptions|RpcReply)\b")
+
+
+def check_message_sizes(relpath, text, stripped):
+    del text
+    out = []
+    if relpath.startswith(NET_DIR):
+        return out
+    for lineno, line in enumerate(stripped.splitlines(), 1):
+        m = RPC_INTERNALS_RE.search(line)
+        if m:
+            out.append(Violation(
+                relpath, lineno, "message-sizes",
+                f"`{m.group(1)}` outside src/net/; issue typed exchanges "
+                "(Rpc::Exchange / Rpc::Notify with a wire:: request struct) "
+                "so options and sizes come from net/endpoints.h"))
+    return out
 
 
 # --- raw new / delete ------------------------------------------------------
@@ -614,6 +641,7 @@ def lint_file(root, relpath, registry, determinism_only=False):
     out += check_fail_points(relpath, text, stripped, registry)
     out += check_net_fail_points(relpath, text, stripped)
     out += check_liveness_fail_points(relpath, text, stripped)
+    out += check_message_sizes(relpath, text, stripped)
     out += check_new_delete(relpath, text, stripped)
     out += check_page_memcpy(relpath, text, stripped)
     out += check_metrics_string_key(relpath, text, stripped)
@@ -648,6 +676,7 @@ FIXTURES = {
     "bad_liveness_fail_point.cc": "liveness-fail-point",
     "bad_metrics_string.cc": "metrics-string-key",
     "bad_net_fail_point.cc": "net-fail-point",
+    "bad_message_sizes.cc": "message-sizes",
 }
 
 
@@ -669,6 +698,7 @@ def run_self_test(root):
                + check_fail_points(pseudo, text, stripped, registry)
                + check_net_fail_points(pseudo, text, stripped)
                + check_liveness_fail_points(pseudo, text, stripped)
+               + check_message_sizes(pseudo, text, stripped)
                + check_new_delete(pseudo, text, stripped)
                + check_page_memcpy(pseudo, text, stripped)
                + check_metrics_string_key(pseudo, text, stripped)

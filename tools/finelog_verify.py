@@ -18,32 +18,42 @@ Rule families
                          FINELOG_MUTATES_PAGE itself, or be a declared
                          FINELOG_REPLAY_PATH("reason") (recovery replay,
                          merge/install of already-logged images, bootstrap).
-  admission-before-state Every non-Rec ServerEndpoint method implemented by
-                         Server must reach LivenessAdmission() before any
-                         protected server state (glm_, dct_, pool_, log_,
-                         token_holder_, ...) is touched -- interprocedurally:
-                         helper methods are expanded in call order, so the
-                         Body/Internal indirection cannot hide a violation.
-                         (crashed_ and metrics_/rpc_/channel_ are exempt:
-                         lifecycle flag and accounting wiring, not protocol
-                         state.) The recovery plane (Rec*) is deliberately
-                         unfenced -- crash recovery is how a zombie rejoins.
-  mastership-fence       Every non-Rec ServerEndpoint method implemented by
-                         Server must reach MastershipAdmission() (the hot-
-                         standby epoch fence, DESIGN.md sec. 19) before
-                         LivenessAdmission() -- interprocedurally, like
-                         admission-before-state. A deposed primary that
-                         consulted per-client liveness first could still
-                         grant locks or admit state changes after the
-                         standby fenced its epoch.
-  recovery-guard         Every non-Rec ServerEndpoint method that reaches
-                         the buffer pool must pass EnsurePageRecovered()
-                         first -- after the admission fence, expanded
-                         interprocedurally like admission-before-state --
-                         so instant-restart admission (DESIGN.md sec. 18)
-                         cannot serve a page whose lazy repair has not run.
-                         Pure lock/lease/heartbeat endpoints that never
-                         touch the page plane are exempt by construction.
+  admission-before-state For every non-Rec server request (the structs
+                         AnyServerCall lists in src/net/endpoints.h), the
+                         prologue Server::Dispatch followed by that request's
+                         handler Server::Handle(const wire::X&) must reach
+                         LivenessAdmission() before any protected server
+                         state (glm_, dct_, pool_, log_, token_holder_, ...)
+                         is touched -- interprocedurally: helper methods are
+                         expanded in call order. (crashed_ and metrics_/rpc_/
+                         channel_ are exempt: lifecycle flag and accounting
+                         wiring, not protocol state.) The recovery plane
+                         (Rec*) is deliberately unfenced -- crash recovery is
+                         how a zombie rejoins.
+  mastership-fence       For every non-Rec server request, the prologue must
+                         reach MastershipAdmission() (the hot-standby epoch
+                         fence, DESIGN.md sec. 19) before LivenessAdmission()
+                         -- interprocedurally, like admission-before-state.
+                         A deposed primary that consulted per-client
+                         liveness first could still grant locks or admit
+                         state changes after the standby fenced its epoch.
+  recovery-guard         For every non-Rec server request whose prologue plus
+                         handler reaches the buffer pool, EnsurePageRecovered()
+                         must run first -- after the admission fence,
+                         expanded interprocedurally like
+                         admission-before-state -- so instant-restart
+                         admission (DESIGN.md sec. 18) cannot serve a page
+                         whose lazy repair has not run. Pure lock/lease/
+                         heartbeat handlers that never touch the page plane
+                         are exempt by construction.
+  prologue-only          Handlers (Server::Handle overloads) are called only
+                         from the prologue Server::Dispatch, or from another
+                         handler (a batch serving its items), so no path
+                         reaches protocol logic around the fences.
+  rec-plane-flag         Every wire struct's recovery_plane flag matches its
+                         name: set exactly on the Rec-prefixed exchanges, so
+                         the prologue fences (and the fault model exempts)
+                         the plane the name promises.
   rpc-chokepoint         Direct Channel::Count / Channel::CountBatch calls
                          are banned outside src/net/ at the call-graph level
                          (the successor of the retired textual lint rule:
@@ -120,10 +130,13 @@ MASTERSHIP_CALL = "MastershipAdmission"
 GUARD_CALL = "EnsurePageRecovered"
 GUARD_CALLS = {GUARD_CALL, "PageRecoveryPending"}
 PAGE_PLANE_STATE = {"pool_"}
-ENDPOINT_IFACE = "ServerEndpoint"
 ENDPOINT_IMPL = "Server"
+PROLOGUE = "Dispatch"
+HANDLER = "Handle"
+WIRE_NAMESPACE = "wire"
+SERVER_CALL_TEMPLATE = "ServerCall"
 RECOVERY_PLANE_PREFIX = "Rec"
-MIN_ENDPOINTS = 13  # PR 5's data-plane surface; guards interface-parse rot.
+MIN_ENDPOINTS = 13  # The non-Rec data plane; guards request-list parse rot.
 
 CHOKEPOINT_CLASS = "Channel"
 CHOKEPOINT_METHODS = {"Count", "CountBatch"}
@@ -159,7 +172,7 @@ class Function:
     """One function definition with its ordered body events."""
 
     def __init__(self, qname, name, cls, path, line):
-        self.qname = qname          # "Server::LockPage" or "MakeOpts"
+        self.qname = qname          # "Server::Dispatch" or "ShipBytes"
         self.name = name            # unqualified
         self.cls = cls              # class name or None
         self.path = path
@@ -179,15 +192,37 @@ class ClassInfo:
         self.line = line
         self.marked = False                 # FINELOG_SHARED_STATE_CLASS
         self.fields = []                    # [(name, line, set(annotations))]
-        self.virtual_methods = []           # declared virtual method names
+
+
+class WireStruct:
+    """One exchange definition in namespace wire (src/net/endpoints.h)."""
+
+    def __init__(self, name, path, line):
+        self.name = name
+        self.path = path
+        self.line = line
+        self.has_spec = False
+        self.recovery_plane = False
+        self.spec_from = None   # `kSpec = Other::kSpec` shares Other's spec.
 
 
 class Program:
     def __init__(self):
         self.functions = {}     # qname -> Function (first definition wins)
         self.classes = {}       # name -> ClassInfo
+        self.wire_structs = {}  # name -> WireStruct
+        self.server_requests = []  # wire struct names AnyServerCall lists
         self.mutators = set()   # names annotated FINELOG_MUTATES_PAGE
         self.replay_decls = set()  # names annotated at declaration site
+
+    def recovery_plane(self, name):
+        seen = set()
+        ws = self.wire_structs.get(name)
+        while ws is not None and ws.spec_from is not None \
+                and ws.name not in seen:
+            seen.add(ws.name)
+            ws = self.wire_structs.get(ws.spec_from)
+        return ws is not None and ws.recovery_plane
 
     def add_function(self, fn):
         self.functions.setdefault(fn.qname, fn)
@@ -293,6 +328,50 @@ def line_of(text, offset):
     return text.count("\n", 0, offset) + 1
 
 
+def wire_type_at(toks, k):
+    """X when toks[k:k+3] spell wire::X, else None (toks: token strings)."""
+    if k + 2 < len(toks) and toks[k] == WIRE_NAMESPACE \
+            and toks[k + 1] == "::" \
+            and re.match(r"[A-Za-z_]\w*$", toks[k + 2]):
+        return toks[k + 2]
+    return None
+
+
+def first_wire_type(toks):
+    for k in range(len(toks)):
+        x = wire_type_at(toks, k)
+        if x is not None:
+            return x
+    return None
+
+
+def handler_key(wire_type):
+    """Handler overloads are keyed by their request type:
+    Handle(wire::LockObject). An unresolved call stays plain `Handle`."""
+    return f"{HANDLER}({WIRE_NAMESPACE}::{wire_type})" if wire_type \
+        else HANDLER
+
+
+def strip_template_prefix(head_toks):
+    """Drops a leading `template <...>` from a declaration head."""
+    if not head_toks or head_toks[0] != "template" or len(head_toks) < 2 \
+            or head_toks[1] != "<":
+        return head_toks
+    depth = 0
+    for k in range(1, len(head_toks)):
+        if head_toks[k] == "<":
+            depth += 1
+        elif head_toks[k] == ">":
+            depth -= 1
+            if depth == 0:
+                return head_toks[k + 1:]
+        elif head_toks[k] == ">>":
+            depth -= 2
+            if depth <= 0:
+                return head_toks[k + 1:]
+    return head_toks
+
+
 def match_brace(tokens, open_idx):
     """Index of the '}' matching tokens[open_idx] == '{' (len(tokens) if
     unbalanced)."""
@@ -340,6 +419,13 @@ def scan_annotation_registry(tokens, program):
                     break
                 if re.match(r"[A-Za-z_]\w*$", tj) and tj1 == "(" \
                         and tj not in CPP_KEYWORDS:
+                    if tj == HANDLER:
+                        params = []
+                        for tk, _ in tokens[j + 1:]:
+                            if tk == ")":
+                                break
+                            params.append(tk)
+                        tj = handler_key(first_wire_type(params))
                     if t == ANN_MUTATES:
                         program.mutators.add(tj)
                     else:
@@ -392,12 +478,6 @@ def finish_member_statement(stmt, cls, text):
     if not stmt:
         return
     toks = [t for t, _ in stmt]
-    # Virtual method name: identifier immediately before the first '('.
-    if "virtual" in toks and "(" in toks:
-        k = toks.index("(")
-        if k > 0 and re.match(r"[A-Za-z_]\w*$", toks[k - 1]):
-            if k < 2 or toks[k - 2] != "~":
-                cls.virtual_methods.append(toks[k - 1])
     if "static" in toks or "using" in toks or "typedef" in toks \
             or "friend" in toks:
         return
@@ -419,6 +499,7 @@ def finish_member_statement(stmt, cls, text):
 
 
 def head_is_function_signature(head_toks):
+    head_toks = strip_template_prefix(head_toks)
     if not head_toks:
         return False
     first = head_toks[0]
@@ -467,7 +548,7 @@ def strip_annotation_groups(head_toks):
 
 def signature_name(head_toks):
     """(qname, name, class) from a signature head token list."""
-    head_toks = strip_annotation_groups(head_toks)
+    head_toks = strip_annotation_groups(strip_template_prefix(head_toks))
     if "(" not in head_toks:
         return None
     k = head_toks.index("(")
@@ -484,20 +565,52 @@ def signature_name(head_toks):
     if base >= 2 and head_toks[base - 1] == "::" \
             and re.match(r"[A-Za-z_]\w*$", head_toks[base - 2]):
         cls = head_toks[base - 2]
+    if name == HANDLER:
+        name = handler_key(first_wire_type(head_toks[k:]))
     qname = f"{cls}::{name}" if cls else name
     return qname, name, cls
 
 
+def handler_call_type(toks, paren_idx, in_handler, last_wire):
+    """The request type a `Handle(...)` call serves: a wire::X named in its
+    arguments, else -- inside a handler serving a batch's items -- the
+    wire::X most recently named in the body (the item's declaration)."""
+    depth = 0
+    args = []
+    for k in range(paren_idx, len(toks)):
+        if toks[k] == "(":
+            depth += 1
+        elif toks[k] == ")":
+            depth -= 1
+            if depth == 0:
+                break
+        args.append(toks[k])
+    found = first_wire_type(args)
+    if found is None and in_handler:
+        found = last_wire
+    return found
+
+
 def collect_body_events(tokens, open_idx, close_idx, fn, text):
     order = 0
+    toks = [t for t, _ in tokens[:close_idx]]
+    in_handler = fn.name.startswith(HANDLER + "(")
+    last_wire = None
     for i in range(open_idx + 1, close_idx):
         t, off = tokens[i]
+        x = wire_type_at(toks, i)
+        if x is not None:
+            last_wire = x
         if not re.match(r"[A-Za-z_]\w*$", t):
             continue
         order += 1
         if i + 1 < close_idx and tokens[i + 1][0] == "(" \
                 and t not in CPP_KEYWORDS:
-            fn.calls.append((t, order, line_of(text, off)))
+            name = t
+            if t == HANDLER:
+                name = handler_key(
+                    handler_call_type(toks, i + 1, in_handler, last_wire))
+            fn.calls.append((name, order, line_of(text, off)))
         if t in PROTECTED_STATE:
             fn.state_idents.append((t, order, line_of(text, off)))
 
@@ -507,11 +620,20 @@ def parse_file_internal(relpath, text, program):
     tokens = tokenize(stripped)
     scan_annotation_registry(tokens, program)
 
+    toks = [tok for tok, _ in tokens]
+    for k in range(len(toks) - 1):
+        if toks[k] == SERVER_CALL_TEMPLATE and toks[k + 1] == "<":
+            x = wire_type_at(toks, k + 2)
+            if x is not None and x not in program.server_requests:
+                program.server_requests.append(x)
+
     i = 0
     n = len(tokens)
     stmt_start = 0
-    # Kinds of currently-open '{' regions, innermost last.
+    # Kinds of currently-open '{' regions, innermost last, and the names of
+    # the open namespaces.
     region = []
+    namespaces = []
     while i < n:
         t, _ = tokens[i]
         if t == "{":
@@ -520,6 +642,7 @@ def parse_file_internal(relpath, text, program):
             outer = region[-1] if region else "file"
             if head and head[0] == "namespace":
                 kind = "namespace"
+                namespaces.append(head[1] if len(head) > 1 else "")
             elif head and head[0] in ("class", "struct") and len(head) >= 2 \
                     and outer in ("file", "namespace"):
                 kind = "class"
@@ -530,7 +653,13 @@ def parse_file_internal(relpath, text, program):
                 idents = [x for x in name_zone
                           if re.match(r"[A-Za-z_]\w*$", x)
                           and x not in ("final",)]
-                if idents:
+                if idents and namespaces and namespaces[-1] == WIRE_NAMESPACE:
+                    end = match_brace(tokens, i)
+                    program.wire_structs.setdefault(
+                        idents[-1],
+                        parse_wire_struct(idents[-1], toks[i:end], relpath,
+                                          line_of(text, tokens[i][1])))
+                elif idents:
                     cls = ClassInfo(idents[-1], relpath,
                                     line_of(text, tokens[i][1]))
                     cls.marked = ANN_MARKED_CLASS in head
@@ -553,12 +682,26 @@ def parse_file_internal(relpath, text, program):
             region.append(kind)
             stmt_start = i + 1
         elif t == "}":
-            if region:
-                region.pop()
+            if region and region.pop() == "namespace":
+                namespaces.pop()
             stmt_start = i + 1
         elif t == ";":
             stmt_start = i + 1
         i += 1
+
+
+def parse_wire_struct(name, body, relpath, line):
+    ws = WireStruct(name, relpath, line)
+    for k, t in enumerate(body):
+        if t != "kSpec":
+            continue
+        ws.has_spec = True
+        if body[k + 1:k + 2] == ["="] and body[k + 3:k + 5] == ["::", "kSpec"]:
+            ws.spec_from = body[k + 2]
+    for k in range(len(body) - 2):
+        if body[k] == "recovery_plane" and body[k + 1] == "=":
+            ws.recovery_plane = body[k + 2] == "true"
+    return ws
 
 
 def iter_src_files(root):
@@ -640,46 +783,72 @@ def first_admission_event(program, fn, stack=None, memo=None):
     return result
 
 
-def check_admission_before_state(program, strict_counts=True):
+def prologue_instances(program, strict=True):
+    """The prologue as each non-Rec server request runs it: a copy of
+    Server::Dispatch whose `Handle(request)` call is bound to that request's
+    handler. Returns ([(request, Function)], violations) -- the violations
+    report a missing prologue, handler or request list."""
     out = []
-    iface = program.classes.get(ENDPOINT_IFACE)
-    if iface is None:
-        if strict_counts:
-            out.append(Violation(
-                "src/net/endpoints.h", 1, "admission-before-state",
-                f"could not locate the {ENDPOINT_IFACE} interface"))
-        return out
-    endpoints = [m for m in iface.virtual_methods
-                 if not m.startswith(RECOVERY_PLANE_PREFIX)
-                 and m != f"~{ENDPOINT_IFACE}"]
-    if strict_counts and len(endpoints) < MIN_ENDPOINTS:
+    requests = [r for r in program.server_requests
+                if not program.recovery_plane(r)]
+    where = next((program.wire_structs[r] for r in program.server_requests
+                  if r in program.wire_structs), None)
+    where = (where.path, where.line) if where else ("src/net/endpoints.h", 1)
+    if strict and len(requests) < MIN_ENDPOINTS:
         out.append(Violation(
-            iface.path, iface.line, "admission-before-state",
-            f"only {len(endpoints)} non-Rec endpoints parsed from "
-            f"{ENDPOINT_IFACE} (expected >= {MIN_ENDPOINTS}); interface "
+            where[0], where[1], "admission-before-state",
+            f"only {len(requests)} non-Rec server requests parsed from "
+            f"AnyServerCall (expected >= {MIN_ENDPOINTS}); the request list "
             "parse is broken or the data plane shrank"))
-    memo = {}
-    for ep in endpoints:
-        fn = program.functions.get(f"{ENDPOINT_IMPL}::{ep}")
-        if fn is None:
-            if strict_counts:
+    prologue = program.functions.get(f"{ENDPOINT_IMPL}::{PROLOGUE}")
+    if prologue is None:
+        if requests:
+            out.append(Violation(
+                where[0], where[1], "admission-before-state",
+                f"no {ENDPOINT_IMPL}::{PROLOGUE} prologue found for the "
+                "server requests"))
+        return [], out
+    if HANDLER not in prologue.call_names():
+        out.append(Violation(
+            prologue.path, prologue.line, "admission-before-state",
+            f"{ENDPOINT_IMPL}::{PROLOGUE} never calls {HANDLER}(); the "
+            "request handlers are not reached through the prologue"))
+    instances = []
+    for req in requests:
+        key = handler_key(req)
+        if f"{ENDPOINT_IMPL}::{key}" not in program.functions:
+            if strict:
                 out.append(Violation(
-                    iface.path, iface.line, "admission-before-state",
-                    f"no definition found for endpoint "
-                    f"{ENDPOINT_IMPL}::{ep}"))
+                    where[0], where[1], "admission-before-state",
+                    f"no definition found for handler "
+                    f"{ENDPOINT_IMPL}::{key}"))
             continue
+        inst = Function(f"{ENDPOINT_IMPL}::{PROLOGUE}<{req}>", PROLOGUE,
+                        ENDPOINT_IMPL, prologue.path, prologue.line)
+        inst.calls = [(key if c == HANDLER else c, o, line)
+                      for c, o, line in prologue.calls]
+        inst.state_idents = list(prologue.state_idents)
+        instances.append((req, inst))
+    return instances, out
+
+
+def check_admission_before_state(program, instances):
+    out = []
+    memo = {}
+    for req, fn in instances:
         ev = first_admission_event(program, fn, memo=memo)
         if ev is None:
             out.append(Violation(
                 fn.path, fn.line, "admission-before-state",
-                f"endpoint {ENDPOINT_IMPL}::{ep} never calls "
-                f"{ADMISSION_CALL}(); zombies are not fenced here"))
+                f"request wire::{req} never reaches {ADMISSION_CALL}() "
+                f"through {ENDPOINT_IMPL}::{PROLOGUE}; zombies are not "
+                "fenced here"))
         elif ev[0] == "touch":
             out.append(Violation(
                 fn.path, ev[2], "admission-before-state",
-                f"endpoint {ENDPOINT_IMPL}::{ep} touches protected state "
-                f"`{ev[1]}` before {ADMISSION_CALL}(); a presumed-dead "
-                "client could mutate server state through this path"))
+                f"request wire::{req} touches protected state `{ev[1]}` "
+                f"before {ADMISSION_CALL}(); a presumed-dead client could "
+                "mutate server state through this path"))
     return out
 
 
@@ -715,33 +884,23 @@ def first_fence_event(program, fn, stack=None, memo=None):
     return result
 
 
-def check_mastership_fence(program):
-    """mastership-fence: every standby-reachable (non-Rec) data-plane
-    endpoint must check mastership before per-client liveness. The recovery
-    plane stays unfenced for the same reason it skips the liveness fence:
-    it is how a client rejoins, and a takeover's own Restart() drives it.
-    Endpoints that never reach LivenessAdmission at all are
-    admission-before-state's problem, not this rule's."""
+def check_mastership_fence(program, instances):
+    """mastership-fence: every standby-reachable (non-Rec) request must
+    check mastership before per-client liveness. The recovery plane stays
+    unfenced for the same reason it skips the liveness fence: it is how a
+    client rejoins, and a takeover's own Restart() drives it. Requests that
+    never reach LivenessAdmission at all are admission-before-state's
+    problem, not this rule's."""
     out = []
-    iface = program.classes.get(ENDPOINT_IFACE)
-    if iface is None:
-        return out  # admission-before-state already reports this.
-    endpoints = [m for m in iface.virtual_methods
-                 if not m.startswith(RECOVERY_PLANE_PREFIX)
-                 and m != f"~{ENDPOINT_IFACE}"]
     memo = {}
-    for ep in endpoints:
-        fn = program.functions.get(f"{ENDPOINT_IMPL}::{ep}")
-        if fn is None:
-            continue  # admission-before-state reports missing definitions.
+    for req, fn in instances:
         ev = first_fence_event(program, fn, memo=memo)
         if ev is not None and ev[0] == "admit":
             out.append(Violation(
                 fn.path, ev[2], "mastership-fence",
-                f"endpoint {ENDPOINT_IMPL}::{ep} reaches {ADMISSION_CALL}() "
-                f"without {MASTERSHIP_CALL}() first; a deposed primary "
-                "could keep serving this endpoint after the standby fenced "
-                "its epoch"))
+                f"request wire::{req} reaches {ADMISSION_CALL}() without "
+                f"{MASTERSHIP_CALL}() first; a deposed primary could keep "
+                "serving it after the standby fenced its epoch"))
     return out
 
 
@@ -784,25 +943,16 @@ def first_unguarded_page_touch(program, fn, stack, state):
     return result
 
 
-def check_recovery_guard(program, strict_counts=True):
-    """recovery-guard: every non-Rec endpoint that reaches the buffer pool
-    must pass EnsurePageRecovered() first (and only after the liveness
-    admission fence), so instant-restart admission cannot expose a page
-    whose lazy repair has not run. Endpoints that never touch the page
-    plane (pure lock/lease/heartbeat traffic) are exempt by construction.
-    The recovery plane (Rec*) is the repair path itself and stays
-    unfenced."""
+def check_recovery_guard(program, instances):
+    """recovery-guard: every non-Rec request whose prologue plus handler
+    reaches the buffer pool must pass EnsurePageRecovered() first (and only
+    after the liveness admission fence), so instant-restart admission
+    cannot expose a page whose lazy repair has not run. Handlers that never
+    touch the page plane (pure lock/lease/heartbeat traffic) are exempt by
+    construction. The recovery plane (Rec*) is the repair path itself and
+    stays unfenced."""
     out = []
-    iface = program.classes.get(ENDPOINT_IFACE)
-    if iface is None:
-        return out  # admission-before-state already reports this.
-    endpoints = [m for m in iface.virtual_methods
-                 if not m.startswith(RECOVERY_PLANE_PREFIX)
-                 and m != f"~{ENDPOINT_IFACE}"]
-    for ep in endpoints:
-        fn = program.functions.get(f"{ENDPOINT_IMPL}::{ep}")
-        if fn is None:
-            continue  # admission-before-state reports missing definitions.
+    for req, fn in instances:
         hit = first_unguarded_page_touch(program, fn, set(),
                                          {"admitted": False,
                                           "guarded": False})
@@ -812,15 +962,55 @@ def check_recovery_guard(program, strict_counts=True):
         if kind == "guard-before-admission":
             out.append(Violation(
                 path, line, "recovery-guard",
-                f"endpoint {ENDPOINT_IMPL}::{ep} runs {GUARD_CALL}() before "
+                f"request wire::{req} runs {GUARD_CALL}() before "
                 f"{ADMISSION_CALL}(); a zombie could drive page repair "
                 "through this path"))
         else:
             out.append(Violation(
                 path, line, "recovery-guard",
-                f"endpoint {ENDPOINT_IMPL}::{ep} reaches the buffer pool "
-                f"without {GUARD_CALL}(); after an instant restart this "
-                "serves a page whose lazy repair has not run"))
+                f"request wire::{req} reaches the buffer pool without "
+                f"{GUARD_CALL}(); after an instant restart this serves a "
+                "page whose lazy repair has not run"))
+    return out
+
+
+def check_prologue_only(program):
+    """prologue-only: a handler runs only behind the prologue's fences --
+    called from Server::Dispatch, or from another handler (a batch serving
+    its items)."""
+    out = []
+    for fn in program.functions.values():
+        if fn.cls == ENDPOINT_IMPL and (
+                fn.name == PROLOGUE or fn.name.startswith(HANDLER + "(")):
+            continue
+        for name, _order, line in fn.calls:
+            if name == HANDLER or name.startswith(HANDLER + "("):
+                out.append(Violation(
+                    fn.path, line, "prologue-only",
+                    f"{fn.qname} calls the request handler {name} directly; "
+                    f"handlers run only behind {ENDPOINT_IMPL}::{PROLOGUE} "
+                    "(crash check, exchange accounting, mastership and "
+                    "liveness fences)"))
+    return out
+
+
+def check_rec_plane_flag(program):
+    """rec-plane-flag: a wire struct's recovery_plane flag must match its
+    Rec name prefix."""
+    out = []
+    for ws in program.wire_structs.values():
+        if not ws.has_spec:
+            continue
+        flagged = program.recovery_plane(ws.name)
+        named = ws.name.startswith(RECOVERY_PLANE_PREFIX)
+        if flagged != named:
+            out.append(Violation(
+                ws.path, ws.line, "rec-plane-flag",
+                f"wire::{ws.name} has recovery_plane = "
+                f"{str(flagged).lower()} but its name "
+                f"{'starts' if named else 'does not start'} with "
+                f"'{RECOVERY_PLANE_PREFIX}'; the prologue fences by the "
+                "flag, readers go by the name"))
     return out
 
 
@@ -878,9 +1068,13 @@ def check_shared_state_annotations(program, require_core=True):
 def run_rules(program, strict=True):
     out = []
     out += check_wal_before_mutate(program)
-    out += check_admission_before_state(program, strict_counts=strict)
-    out += check_mastership_fence(program)
-    out += check_recovery_guard(program, strict_counts=strict)
+    instances, missing = prologue_instances(program, strict=strict)
+    out += missing
+    out += check_admission_before_state(program, instances)
+    out += check_mastership_fence(program, instances)
+    out += check_recovery_guard(program, instances)
+    out += check_prologue_only(program)
+    out += check_rec_plane_flag(program)
     out += check_rpc_chokepoint(program)
     out += check_shared_state_annotations(program, require_core=strict)
     return out
@@ -898,6 +1092,8 @@ FIXTURES = {
     "bad_missing_admission.cc": "admission-before-state",
     "bad_missing_mastership.cc": "mastership-fence",
     "bad_missing_recovery_guard.cc": "recovery-guard",
+    "bad_prologue_bypass.cc": "prologue-only",
+    "bad_rec_plane_flag.cc": "rec-plane-flag",
     "bad_raw_channel.cc": "rpc-chokepoint",
     "bad_unannotated_field.cc": "shared-state-annotations",
 }
