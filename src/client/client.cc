@@ -67,28 +67,6 @@ Result<TxnId> Client::Begin() {
 // Locking
 // ---------------------------------------------------------------------------
 
-Status Client::AcquireObjectLock(TxnId txn, ObjectId oid, LockMode mode) {
-  if (config_.lock_granularity == LockGranularity::kPage) {
-    // Page-locking baseline: every object access locks the whole page.
-    return AcquirePageLock(txn, oid.page, mode);
-  }
-  switch (llm_.TryAcquireObject(txn, oid, mode)) {
-    case LocalLockManager::Acquire::kHit:
-      metrics_->Add(Counter::kClientLockHits);
-      return Status::OK();
-    case LocalLockManager::Acquire::kLocalConflict:
-      return Status::WouldBlock("local transaction holds conflicting lock");
-    case LocalLockManager::Acquire::kMiss:
-      break;
-  }
-  metrics_->Add(Counter::kClientLockMisses);
-  BufferPool::Frame* frame = cache_->Peek(oid.page);
-  Psn cached_psn = frame != nullptr ? frame->page.psn() : kNullPsn;
-  auto reply = server_->Call(id_, wire::LockObject{oid, mode, cached_psn});
-  if (!reply.ok()) return reply.status();
-  return InstallObjectLockReply(txn, oid, mode, reply.value());
-}
-
 Status Client::InstallObjectLockReply(TxnId txn, ObjectId oid, LockMode mode,
                                       const ObjectLockReply& reply) {
   llm_.AddObjectLock(txn, oid, mode);
@@ -136,20 +114,21 @@ Status Client::InstallObjectLockReply(TxnId txn, ObjectId oid, LockMode mode,
   return Status::OK();
 }
 
-Status Client::BatchAcquireObjectLocks(TxnId txn,
-                                       const std::vector<ObjectId>& oids,
-                                       LockMode mode) {
+Status Client::AcquireObjectLocks(TxnId txn, std::span<const ObjectId> oids,
+                                  LockMode mode) {
   if (config_.lock_granularity == LockGranularity::kPage) {
+    // Page-locking baseline: every object access locks the whole page.
     for (ObjectId oid : oids) {
       FINELOG_RETURN_IF_ERROR(AcquirePageLock(txn, oid.page, mode));
     }
     return Status::OK();
   }
-  // Collect the LLM misses in request order, deduplicated.
-  std::vector<wire::LockObject> misses;
+  // Collect the LLM misses in request order, deduplicated. A lone object
+  // (every Read and Write) skips the set: a lock hit allocates nothing.
+  std::vector<wire::LockObject::Item> misses;
   std::set<ObjectId> seen;
   for (ObjectId oid : oids) {
-    if (!seen.insert(oid).second) continue;
+    if (oids.size() > 1 && !seen.insert(oid).second) continue;
     switch (llm_.TryAcquireObject(txn, oid, mode)) {
       case LocalLockManager::Acquire::kHit:
         metrics_->Add(Counter::kClientLockHits);
@@ -161,14 +140,14 @@ Status Client::BatchAcquireObjectLocks(TxnId txn,
     }
     metrics_->Add(Counter::kClientLockMisses);
     BufferPool::Frame* frame = cache_->Peek(oid.page);
-    misses.push_back(wire::LockObject{
+    misses.push_back(wire::LockObject::Item{
         oid, mode, frame != nullptr ? frame->page.psn() : kNullPsn});
   }
   const size_t limit = std::max<uint32_t>(1, config_.max_batch_items);
   for (size_t i = 0; i < misses.size(); i += limit) {
     size_t n = std::min(limit, misses.size() - i);
     auto outcomes = server_->Call(
-        id_, wire::LockObjectBatch{std::span(misses).subspan(i, n)});
+        id_, wire::LockObject{std::span(misses).subspan(i, n)});
     if (!outcomes.ok()) return outcomes.status();
     if (n > 1) {
       metrics_->Add(Counter::kClientBatchLockRequests);
@@ -313,21 +292,33 @@ BufferPool::EvictHandler Client::EvictHandler() {
     // leaves the client (Section 2).
     FINELOG_RETURN_IF_ERROR(ForceLog());
     metrics_->Add(Counter::kClientWalForcesOnReplace);
-    ShippedPage shipped = BuildShip(pid, frame);
-    metrics_->Add(Counter::kClientPagesShipped);
-    return server_->Call(id_, wire::ShipPage{shipped});
+    return ShipPages(std::span(&pid, 1));
   };
+}
+
+Status Client::ShipPages(std::span<const PageId> pids) {
+  const size_t limit = std::max<uint32_t>(1, config_.max_batch_items);
+  for (size_t i = 0; i < pids.size(); i += limit) {
+    size_t n = std::min(limit, pids.size() - i);
+    std::vector<ShippedPage> chunk;
+    chunk.reserve(n);
+    for (PageId pid : pids.subspan(i, n)) {
+      chunk.push_back(BuildShip(pid, *cache_->Peek(pid)));
+      metrics_->Add(Counter::kClientPagesShipped);
+    }
+    FINELOG_RETURN_IF_ERROR(server_->Call(id_, wire::ShipPage{chunk}));
+    if (n > 1) {
+      metrics_->Add(Counter::kClientBatchShipRequests);
+      metrics_->Add(Counter::kClientBatchShipItems, n);
+    }
+  }
+  return Status::OK();
 }
 
 Result<BufferPool::Frame*> Client::GetCachedPage(PageId pid) {
   if (BufferPool::Frame* f = cache_->Get(pid)) return f;
-  auto reply = server_->Call(id_, wire::FetchPage{pid});
-  if (!reply.ok()) return reply.status();
-  Page page(config_.page_size);
-  page.raw() = reply.value().page_image;
-  // The DCT PSN sent along is ignored during normal processing (Section 3.2).
-  metrics_->Add(Counter::kClientPageFetches);
-  return cache_->Put(pid, std::move(page), EvictHandler());
+  FINELOG_RETURN_IF_ERROR(FetchPages(std::span(&pid, 1)));
+  return cache_->Peek(pid);
 }
 
 // ---------------------------------------------------------------------------
@@ -364,18 +355,6 @@ void Client::UpdateReclaimLsn() {
     reclaim = std::min(reclaim, log_->checkpoint_lsn());
   }
   log_->SetReclaimLsn(reclaim);
-  if (config_.punch_reclaimed_log_space) {
-    // Hand the reclaimed prefix back to the filesystem (hole punch
-    // preserves LSN = offset, so no record addressing changes). Off by
-    // default: recovery after complex crashes can consult records below
-    // the reclaim point (old callback log records ordering another
-    // client's replay), which the paper's flush-coverage argument bounds
-    // only when the DCT survives. See DESIGN.md section 8.
-    auto punched = log_->PunchReclaimedSpace();
-    if (punched.ok() && punched.value() > 0) {
-      metrics_->Add(Counter::kClientLogBytesPunched, punched.value());
-    }
-  }
 }
 
 Result<Lsn> Client::AppendLog(const LogRecord& rec) {
@@ -450,9 +429,7 @@ Status Client::TryFreeLogSpace() {
         // The page is in use by the very operation that ran out of log
         // space: ship a copy without evicting it.
         FINELOG_RETURN_IF_ERROR(ForceLog());
-        ShippedPage shipped = BuildShip(victim, *frame);
-        metrics_->Add(Counter::kClientPagesShipped);
-        FINELOG_RETURN_IF_ERROR(server_->Call(id_, wire::ShipPage{shipped}));
+        FINELOG_RETURN_IF_ERROR(ShipPages(std::span(&victim, 1)));
       } else {
         FINELOG_RETURN_IF_ERROR(cache_->Evict(victim, EvictHandler()));
       }
@@ -505,28 +482,18 @@ Status Client::ShipAllDirtyPages() {
   metrics_->Add(Counter::kClientWalForcesOnReplace);
   const size_t limit = config_.max_batch_items;
   for (size_t i = 0; i < dirty.size(); i += limit) {
-    size_t n = std::min(limit, dirty.size() - i);
-    std::vector<ShippedPage> chunk;
-    chunk.reserve(n);
-    for (size_t j = 0; j < n; ++j) {
-      BufferPool::Frame* frame = cache_->Peek(dirty[i + j]);
-      chunk.push_back(BuildShip(dirty[i + j], *frame));
-      metrics_->Add(Counter::kClientPagesShipped);
-    }
-    FINELOG_RETURN_IF_ERROR(server_->Call(id_, wire::ShipPages{chunk}));
-    if (n > 1) {
-      metrics_->Add(Counter::kClientBatchShipRequests);
-      metrics_->Add(Counter::kClientBatchShipItems, n);
-    }
-    // BuildShip left the frames clean, so these evictions just drop them.
-    for (size_t j = 0; j < n; ++j) {
-      FINELOG_RETURN_IF_ERROR(cache_->Evict(dirty[i + j], EvictHandler()));
+    // One ship request per chunk. ShipPages leaves the frames clean, so
+    // these evictions just drop them before the next chunk ships.
+    auto chunk = std::span(dirty).subspan(i, std::min(limit, dirty.size() - i));
+    FINELOG_RETURN_IF_ERROR(ShipPages(chunk));
+    for (PageId pid : chunk) {
+      FINELOG_RETURN_IF_ERROR(cache_->Evict(pid, EvictHandler()));
     }
   }
   return Status::OK();
 }
 
-Status Client::PrefetchPages(const std::vector<PageId>& pids) {
+Status Client::FetchPages(std::span<const PageId> pids) {
   std::vector<PageId> missing;
   std::set<PageId> seen;
   for (PageId pid : pids) {
@@ -538,7 +505,7 @@ Status Client::PrefetchPages(const std::vector<PageId>& pids) {
   for (size_t i = 0; i < missing.size(); i += limit) {
     size_t n = std::min(limit, missing.size() - i);
     auto replies = server_->Call(
-        id_, wire::FetchPages{std::span(missing).subspan(i, n)});
+        id_, wire::FetchPage{std::span(missing).subspan(i, n)});
     if (!replies.ok()) return replies.status();
     if (n > 1) {
       metrics_->Add(Counter::kClientBatchFetchRequests);
@@ -546,6 +513,8 @@ Status Client::PrefetchPages(const std::vector<PageId>& pids) {
     }
     for (size_t j = 0; j < n; ++j) {
       Page page(config_.page_size);
+      // The DCT PSN sent along is ignored during normal processing
+      // (Section 3.2).
       page.raw() = replies.value()[j].page_image;
       metrics_->Add(Counter::kClientPageFetches);
       auto put = cache_->Put(missing[i + j], std::move(page), EvictHandler());
@@ -706,7 +675,8 @@ Result<std::string> Client::Read(TxnId txn, ObjectId oid) {
   FINELOG_RETURN_IF_ERROR(MaybeHeartbeat());
   FINELOG_ASSIGN_OR_RETURN(Txn * t, GetActiveTxn(txn));
   (void)t;
-  FINELOG_RETURN_IF_ERROR(AcquireObjectLock(txn, oid, LockMode::kShared));
+  FINELOG_RETURN_IF_ERROR(
+      AcquireObjectLocks(txn, std::span(&oid, 1), LockMode::kShared));
   FINELOG_ASSIGN_OR_RETURN(BufferPool::Frame * frame, GetCachedPage(oid.page));
   metrics_->Add(Counter::kClientReads);
   return frame->page.ReadObject(oid.slot);
@@ -717,7 +687,8 @@ Status Client::Write(TxnId txn, ObjectId oid, Slice data) {
   if (crashed_) return Status::Crashed("client down");
   FINELOG_RETURN_IF_ERROR(MaybeHeartbeat());
   FINELOG_ASSIGN_OR_RETURN(Txn * t, GetActiveTxn(txn));
-  FINELOG_RETURN_IF_ERROR(AcquireObjectLock(txn, oid, LockMode::kExclusive));
+  FINELOG_RETURN_IF_ERROR(
+      AcquireObjectLocks(txn, std::span(&oid, 1), LockMode::kExclusive));
   FINELOG_RETURN_IF_ERROR(EnsureToken(oid.page));
   FINELOG_ASSIGN_OR_RETURN(BufferPool::Frame * frame, GetCachedPage(oid.page));
   ScopedPin pin(cache_.get(), oid.page);
@@ -761,11 +732,11 @@ Status Client::WriteBatch(
     oids.push_back(oid);
   }
   FINELOG_RETURN_IF_ERROR(
-      BatchAcquireObjectLocks(txn, oids, LockMode::kExclusive));
+      AcquireObjectLocks(txn, oids, LockMode::kExclusive));
   std::vector<PageId> pages;
   pages.reserve(oids.size());
   for (ObjectId oid : oids) pages.push_back(oid.page);
-  FINELOG_RETURN_IF_ERROR(PrefetchPages(pages));
+  FINELOG_RETURN_IF_ERROR(FetchPages(pages));
   // Locks and pages are warm now; the per-object writes run locally.
   for (const auto& [oid, data] : writes) {
     FINELOG_RETURN_IF_ERROR(Write(txn, oid, data));
@@ -780,11 +751,11 @@ Result<std::vector<std::string>> Client::ReadBatch(
   FINELOG_RETURN_IF_ERROR(MaybeHeartbeat());
   FINELOG_ASSIGN_OR_RETURN(Txn * t, GetActiveTxn(txn));
   (void)t;
-  FINELOG_RETURN_IF_ERROR(BatchAcquireObjectLocks(txn, oids, LockMode::kShared));
+  FINELOG_RETURN_IF_ERROR(AcquireObjectLocks(txn, oids, LockMode::kShared));
   std::vector<PageId> pages;
   pages.reserve(oids.size());
   for (ObjectId oid : oids) pages.push_back(oid.page);
-  FINELOG_RETURN_IF_ERROR(PrefetchPages(pages));
+  FINELOG_RETURN_IF_ERROR(FetchPages(pages));
   std::vector<std::string> values;
   values.reserve(oids.size());
   for (ObjectId oid : oids) {
@@ -840,7 +811,8 @@ Status Client::Resize(TxnId txn, ObjectId oid, Slice data) {
   // Footnote-3 fast path: take the object lock first; if the new size fits
   // the slot's reserved capacity, the resize is in place and mergeable --
   // no page-level lock, no structural flag, full same-page concurrency.
-  FINELOG_RETURN_IF_ERROR(AcquireObjectLock(txn, oid, LockMode::kExclusive));
+  FINELOG_RETURN_IF_ERROR(
+      AcquireObjectLocks(txn, std::span(&oid, 1), LockMode::kExclusive));
   FINELOG_RETURN_IF_ERROR(EnsureToken(oid.page));
   {
     FINELOG_ASSIGN_OR_RETURN(BufferPool::Frame * frame,

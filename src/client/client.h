@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -211,30 +212,32 @@ class FINELOG_SHARED_STATE_CLASS Client : public ClientEndpoint {
                         config_.debug_trust_log_tail};
   }
 
-  // Lock acquisition with LLM caching; a miss goes to the server and the
-  // reply's object/page image is installed (client-side merge, Section 2).
-  Status AcquireObjectLock(TxnId txn, ObjectId oid, LockMode mode)
-      FINELOG_REQUIRES(mu_);
+  // Page lock acquisition with LLM caching; a miss goes to the server.
   Status AcquirePageLock(TxnId txn, PageId pid, LockMode mode)
       FINELOG_REQUIRES(mu_);
 
   // Installs a server object-lock grant into local state: LLM entry,
   // pending exclusive callbacks, unflushed-slot tracking, the object or page
-  // image carried by the reply, and the escalation check. Shared by the
-  // single and batched acquisition paths.
+  // image carried by the reply, and the escalation check.
   Status InstallObjectLockReply(TxnId txn, ObjectId oid, LockMode mode,
                                 const ObjectLockReply& reply)
       FINELOG_REQUIRES(mu_);
 
-  // Acquires object locks for `oids`, coalescing LLM misses into multi-item
-  // server messages of up to config.max_batch_items. Page-granularity
-  // configurations fall back to per-item acquisition.
-  Status BatchAcquireObjectLocks(TxnId txn, const std::vector<ObjectId>& oids,
-                                 LockMode mode) FINELOG_REQUIRES(mu_);
+  // Acquires object locks for `oids` with LLM caching. The misses go to the
+  // server in lock requests of up to config.max_batch_items items, and each
+  // grant's object/page image is installed (client-side merge, Section 2).
+  // Page-granularity configurations acquire page locks instead.
+  Status AcquireObjectLocks(TxnId txn, std::span<const ObjectId> oids,
+                            LockMode mode) FINELOG_REQUIRES(mu_);
 
-  // Fetches any of `pids` that are not cached, batching the fetch requests.
-  Status PrefetchPages(const std::vector<PageId>& pids)
-      FINELOG_REQUIRES(mu_);
+  // Fetches any of `pids` that are not cached, in fetch requests of up to
+  // config.max_batch_items pages.
+  Status FetchPages(std::span<const PageId> pids) FINELOG_REQUIRES(mu_);
+
+  // Ships the dirty cached pages `pids` (the log is already forced), in ship
+  // requests of up to config.max_batch_items pages; their frames stay
+  // cached, clean.
+  Status ShipPages(std::span<const PageId> pids) FINELOG_REQUIRES(mu_);
 
   // Forces the private log and charges the cost model's force latency. Any
   // successful force makes every queued group commit durable, so the pending

@@ -668,7 +668,8 @@ Status Client::HandleRecRecoverPage(
                                 session.modified.end());
   shipped.structural = false;
   Psn ship_psn = session.page.psn();
-  FINELOG_RETURN_IF_ERROR(server_->Call(id_, wire::ShipPage{shipped}));
+  FINELOG_RETURN_IF_ERROR(
+      server_->Call(id_, wire::ShipPage{std::span(&shipped, 1)}));
 
   if (psn_limit == kNullPsn) {
     // The recovered state is now at the server; our RedoLSN can advance

@@ -173,12 +173,6 @@ struct SystemConfig {
   // locks on more than this many objects of one page (adaptive scheme [3]).
   uint32_t escalation_threshold = 8;
 
-  // Physically release reclaimed private-log space back to the filesystem
-  // (hole punching). Safe for client/server crashes; kept off by default
-  // because complex-crash recovery may consult old callback log records
-  // below the reclaim point (DESIGN.md section 8).
-  bool punch_reclaimed_log_space = false;
-
   // Footnote-3 extension: fraction of extra capacity reserved when an
   // object is created (0.5 = 50% headroom). A resize within reserved
   // capacity is performed in place and is mergeable -- it needs only an

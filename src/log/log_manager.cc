@@ -1,6 +1,5 @@
 #include "log/log_manager.h"
 
-#include <fcntl.h>
 #include <sys/stat.h>
 
 #include <algorithm>
@@ -68,7 +67,7 @@ Status LogManager::WriteHeader() {
   enc.PutU32(1);  // version
   enc.PutId(checkpoint_lsn_);
   enc.PutId(reclaim_lsn_);
-  enc.PutId(punched_below_);
+  enc.PutU64(0);  // Reserved.
   if (std::fseek(file_, 0, SEEK_SET) != 0 ||
       std::fwrite(enc.buffer().data(), 1, kFileHeaderSize, file_) !=
           kFileHeaderSize) {
@@ -87,24 +86,21 @@ Status LogManager::RecoverExisting() {
   }
   Decoder dec(Slice(hdr, kFileHeaderSize));
   uint32_t magic = 0, version = 0;
-  Lsn ckpt, reclaim, punched;
+  Lsn ckpt, reclaim;
   if (!dec.GetU32(&magic) || magic != kMagic || !dec.GetU32(&version) ||
-      !dec.GetId(&ckpt) || !dec.GetId(&reclaim) || !dec.GetId(&punched)) {
+      !dec.GetId(&ckpt) || !dec.GetId(&reclaim)) {
     return Status::Corruption("bad log file header");
   }
   checkpoint_lsn_ = ckpt;
   reclaim_lsn_ = reclaim;
-  punched_below_ = punched;
 
   // Scan frames to find the durable end; stop at the first torn frame.
-  // A punched prefix reads as zeros and is not parseable: resume the scan
-  // at the first retained byte.
   struct stat st;
   if (fstat(fileno(file_), &st) != 0) {
     return Status::IoError("fstat failed");
   }
   uint64_t file_size = static_cast<uint64_t>(st.st_size);
-  Lsn pos = std::max(Lsn{kFileHeaderSize}, punched_below_);
+  Lsn pos{kFileHeaderSize};
   if (io_.debug_trust_tail) {
     // Broken-on-purpose recovery (harness self-test): believe every byte in
     // the file is a durable record, skipping the CRC scan for the true tail.
@@ -218,9 +214,6 @@ Result<LogRecord> LogManager::ReadFrame(Lsn lsn, uint64_t* frame_size) const {
   if (lsn.value() < kFileHeaderSize || lsn >= end_lsn_) {
     return Status::NotFound("LSN out of range");
   }
-  if (lsn < punched_below_) {
-    return Status::NotFound("LSN physically reclaimed");
-  }
   char fh[kFrameHeaderSize];
   std::string body;
   if (lsn >= durable_end_) {
@@ -266,11 +259,6 @@ Status LogManager::Scan(
     Lsn from, const std::function<Status(const LogRecord&)>& cb) const {
   SimMutexLock lock(mu_);
   Lsn pos = std::max(from, Lsn{kFileHeaderSize});
-  // A punched prefix contains no parseable frames; the first retained frame
-  // begins exactly at the punch boundary (punching is frame-aligned only by
-  // accident, so we keep the boundary at a recorded frame start: see
-  // PunchReclaimedSpace, which rounds down to the last frame start it knows).
-  pos = std::max(pos, punched_below_);
   while (pos < end_lsn_) {
     uint64_t frame_size = 0;
     auto rec = ReadFrame(pos, &frame_size);
@@ -290,47 +278,6 @@ Status LogManager::SetCheckpointLsn(Lsn lsn) {
 void LogManager::SetReclaimLsn(Lsn lsn) {
   SimMutexLock lock(mu_);
   if (lsn > reclaim_lsn_) reclaim_lsn_ = lsn;
-}
-
-Result<uint64_t> LogManager::PunchReclaimedSpace() {
-  SimMutexLock lock(mu_);
-#ifdef FALLOC_FL_PUNCH_HOLE
-  // Find the last frame start at or below the reclaim point so the scan
-  // boundary lands on a frame, then punch the whole blocks below it.
-  Lsn limit = std::min(reclaim_lsn_, durable_end_);
-  Lsn boundary = std::max(punched_below_, Lsn{kFileHeaderSize});
-  {
-    Lsn pos = boundary;
-    while (pos < limit) {
-      uint64_t frame_size = 0;
-      auto rec = ReadFrame(pos, &frame_size);
-      if (!rec.ok()) break;
-      Lsn next = pos + frame_size;
-      if (next > limit) break;
-      pos = next;
-    }
-    boundary = pos;
-  }
-  constexpr uint64_t kBlock = 4096;
-  uint64_t start = ((kFileHeaderSize + kBlock - 1) / kBlock) * kBlock;
-  uint64_t end = (boundary.value() / kBlock) * kBlock;
-  if (end <= start || end <= punched_below_.value()) return uint64_t{0};
-  uint64_t from = std::max(start, punched_below_.value());
-  if (fallocate(fileno(file_), FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE,
-                static_cast<off_t>(from),
-                static_cast<off_t>(end - from)) != 0) {
-    return uint64_t{0};  // Filesystem without hole support: a no-op.
-  }
-  // Scans must resume at a frame start. `end` is block-aligned and may fall
-  // inside a frame whose head was just destroyed, so the recorded boundary
-  // is `boundary` -- the first frame start at or past `end` (such partially
-  // damaged frames sit below the reclaim point and are expendable too).
-  punched_below_ = boundary;
-  FINELOG_RETURN_IF_ERROR(WriteHeader());
-  return end - from;
-#else
-  return uint64_t{0};
-#endif
 }
 
 }  // namespace finelog

@@ -115,14 +115,6 @@ class FINELOG_SHARED_STATE_CLASS LogManager {
     return end_lsn_ - reclaim_lsn_;
   }
 
-  // Physically releases the disk blocks of the reclaimed prefix (everything
-  // below reclaim_lsn) via hole punching, which preserves file offsets --
-  // and therefore the LSN = offset invariant -- while returning the space
-  // to the filesystem. Records below the reclaim point become unreadable
-  // afterwards, which is exactly their contract. Returns the number of
-  // bytes punched (0 when unsupported by the filesystem or nothing to do).
-  Result<uint64_t> PunchReclaimedSpace();
-
   // Metrics.
   uint64_t bytes_appended() const {
     SimMutexLock lock(mu_);
@@ -164,8 +156,6 @@ class FINELOG_SHARED_STATE_CLASS LogManager {
   Lsn end_lsn_ FINELOG_GUARDED_BY(mu_){kFileHeaderSize};
   Lsn checkpoint_lsn_ FINELOG_GUARDED_BY(mu_) = kNullLsn;
   Lsn reclaim_lsn_ FINELOG_GUARDED_BY(mu_){kFileHeaderSize};
-  // Everything below is already hole-punched.
-  Lsn punched_below_ FINELOG_GUARDED_BY(mu_);
   // Frames appended but not yet forced.
   std::string pending_ FINELOG_GUARDED_BY(mu_);
   // Reused per-append serialization scratch.

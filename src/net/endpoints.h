@@ -124,9 +124,8 @@ struct ClientRecoveryState {
   std::vector<std::pair<PageId, LockMode>> page_locks;
 };
 
-// Per-item outcome of a batched object lock request: lock grants fail
-// individually (WouldBlock on a denied callback does not poison the other
-// items in the batch).
+// Per-item outcome of an object lock request: lock grants fail individually
+// (WouldBlock on a denied callback does not poison the other items).
 struct ObjectLockOutcome {
   Status status;  // Default-constructed = OK; `reply` is valid only then.
   ObjectLockReply reply;
@@ -251,43 +250,37 @@ inline WireSize CallbackListSize(const std::vector<CallbackListEntry>& list) {
 
 // Client -> server, normal processing.
 
-// Forwarded LLM miss for an object lock. `cached_psn` carries the PSN of
-// the client's cached copy (kNullPsn if the page is not cached); the server
-// uses it to seed the DCT entry on a first X grant (Section 3.2). A denial
-// still answers.
+// Forwarded LLM misses for object locks, up to max_batch_items per message
+// (one when unbatched). Grants are attempted in item order and fail
+// individually; the reply is index-aligned with `items` and charges the
+// per-message overhead once. A refusal of the whole request still answers.
 struct LockObject {
-  using Reply = ObjectLockReply;
+  // One miss. `cached_psn` carries the PSN of the client's cached copy
+  // (kNullPsn if the page is not cached); the server uses it to seed the DCT
+  // entry on a first X grant (Section 3.2).
+  struct Item {
+    ObjectId oid;
+    LockMode mode = LockMode::kShared;
+    Psn cached_psn = kNullPsn;
+  };
+  using Reply = std::vector<ObjectLockOutcome>;
   static constexpr ExchangeSpec kSpec{
       .endpoint = "lock_object", .request = kLockRequest, .reply = kLockReply,
       .replies_on_error = true};
-  ObjectId oid;
-  LockMode mode = LockMode::kShared;
-  Psn cached_psn = kNullPsn;
-
-  static WireSize reply_size(const Reply& r) {
-    return {1, kControlMsgBytes +
-                   (r.object_image ? r.object_image->size() : 0) +
-                   (r.page_image ? r.page_image->size() : 0)};
-  }
-};
-
-// Batched LLM misses (the caller chunks to max_batch_items): grants are
-// attempted in item order and fail individually; the reply is index-aligned
-// with `items` and charges the per-message overhead once.
-struct LockObjectBatch {
-  using Reply = std::vector<ObjectLockOutcome>;
-  static constexpr ExchangeSpec kSpec{"lock_object", kLockRequest, kLockReply};
-  std::span<const LockObject> items;
+  std::span<const Item> items;
 
   bool empty() const { return items.empty(); }
   WireSize request_size() const {
     return {items.size(), items.size() * kControlMsgBytes};
   }
+  // A denied item answers with a control message.
   static WireSize reply_size(const Reply& out) {
     WireSize size{out.size(), 0};
     for (const ObjectLockOutcome& o : out) {
-      size.bytes += o.status.ok() ? LockObject::reply_size(o.reply).bytes
-                                  : kControlMsgBytes;
+      size.bytes += kControlMsgBytes;
+      if (!o.status.ok()) continue;
+      if (o.reply.object_image) size.bytes += o.reply.object_image->size();
+      if (o.reply.page_image) size.bytes += o.reply.page_image->size();
     }
     return size;
   }
@@ -309,20 +302,13 @@ struct LockPage {
   }
 };
 
-// Cache-miss fetch of a page the client already holds locks on.
+// Cache-miss fetches of pages the client already holds locks on, up to
+// max_batch_items per message; all-or-nothing (a fetch only fails on real
+// I/O or topology errors, never on contention). The reply is index-aligned
+// with `pids`.
 struct FetchPage {
-  using Reply = PageFetchReply;
-  static constexpr ExchangeSpec kSpec{"fetch_page", kPageFetch, kPageReply};
-  PageId pid;
-
-  static WireSize reply_size(const Reply& r) { return ImageSize(r.page_image); }
-};
-
-// Batched cache-miss fetch; all-or-nothing (a fetch only fails on real I/O
-// or topology errors, never on contention).
-struct FetchPages {
   using Reply = std::vector<PageFetchReply>;
-  static constexpr ExchangeSpec kSpec = FetchPage::kSpec;
+  static constexpr ExchangeSpec kSpec{"fetch_page", kPageFetch, kPageReply};
   std::span<const PageId> pids;
 
   bool empty() const { return pids.empty(); }
@@ -338,20 +324,12 @@ struct FetchPages {
   }
 };
 
-// A dirty page replaced from the client's cache (Section 2). The server
-// merges the updates into its copy.
+// Dirty pages replaced from the client's cache (Section 2), up to
+// max_batch_items in one ship message and one ack. The server merges the
+// updates into its copies.
 struct ShipPage {
   using Reply = void;
   static constexpr ExchangeSpec kSpec{"ship_page", kPageShip, kPageShipAck};
-  const ShippedPage& page;
-
-  WireSize request_size() const { return {1, page.wire_size()}; }
-};
-
-// Batched copy-back: N replaced pages in one ship message, one ack.
-struct ShipPages {
-  using Reply = void;
-  static constexpr ExchangeSpec kSpec = ShipPage::kSpec;
   std::span<const ShippedPage> pages;
 
   bool empty() const { return pages.empty(); }
@@ -716,17 +694,15 @@ struct ServerCall {
 };
 
 using AnyServerCall = std::variant<
-    ServerCall<wire::LockObject>*, ServerCall<wire::LockObjectBatch>*,
-    ServerCall<wire::LockPage>*, ServerCall<wire::FetchPage>*,
-    ServerCall<wire::FetchPages>*, ServerCall<wire::ShipPage>*,
-    ServerCall<wire::ShipPages>*, ServerCall<wire::AllocatePage>*,
-    ServerCall<wire::ForcePage>*, ServerCall<wire::ReleaseLocks>*,
-    ServerCall<wire::CommitShipLogs>*, ServerCall<wire::CommitShipPages>*,
-    ServerCall<wire::AcquireToken>*, ServerCall<wire::Heartbeat>*,
-    ServerCall<wire::RecGetMyDct>*, ServerCall<wire::RecGetMyXLocks>*,
-    ServerCall<wire::RecFetchPage>*, ServerCall<wire::RecComplete>*,
-    ServerCall<wire::RecInstallLocks>*, ServerCall<wire::RecGetCallbackList>*,
-    ServerCall<wire::RecOrderedFetch>*>;
+    ServerCall<wire::LockObject>*, ServerCall<wire::LockPage>*,
+    ServerCall<wire::FetchPage>*, ServerCall<wire::ShipPage>*,
+    ServerCall<wire::AllocatePage>*, ServerCall<wire::ForcePage>*,
+    ServerCall<wire::ReleaseLocks>*, ServerCall<wire::CommitShipLogs>*,
+    ServerCall<wire::CommitShipPages>*, ServerCall<wire::AcquireToken>*,
+    ServerCall<wire::Heartbeat>*, ServerCall<wire::RecGetMyDct>*,
+    ServerCall<wire::RecGetMyXLocks>*, ServerCall<wire::RecFetchPage>*,
+    ServerCall<wire::RecComplete>*, ServerCall<wire::RecInstallLocks>*,
+    ServerCall<wire::RecGetCallbackList>*, ServerCall<wire::RecOrderedFetch>*>;
 
 // The server-side endpoint (implemented by server::Server, and fronted by
 // net::ServerRouter with a hot standby).
@@ -734,7 +710,7 @@ class ServerEndpoint {
  public:
   virtual ~ServerEndpoint() = default;
 
-  // Issues one request, e.g. Call(client, wire::FetchPage{pid}).
+  // Issues one request, e.g. Call(client, wire::ForcePage{pid}).
   template <typename Req>
   ReplyOf<Req> Call(ClientId client, const Req& request) {
     ServerCall<Req> call{request, std::nullopt};

@@ -510,7 +510,21 @@ ReplyOf<Req> Server::Dispatch(ClientId client, const Req& request) {
 
 Answer<wire::LockObject> Server::Handle(ClientId client,
                                         const wire::LockObject& req) {
-  const ObjectId oid = req.oid;
+  std::vector<ObjectLockOutcome> out(req.items.size());
+  for (size_t i = 0; i < req.items.size(); ++i) {
+    Result<ObjectLockReply> r = GrantObjectLock(client, req.items[i]);
+    if (r.ok()) {
+      out[i].reply = std::move(r.value());
+    } else {
+      out[i].status = r.status();
+    }
+  }
+  return out;
+}
+
+Result<ObjectLockReply> Server::GrantObjectLock(
+    ClientId client, const wire::LockObject::Item& item) {
+  const ObjectId oid = item.oid;
   metrics_->Add(Counter::kServerLockRequests);
 
   FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(oid.page));
@@ -521,7 +535,7 @@ Answer<wire::LockObject> Server::Handle(ClientId client,
   std::vector<XCallbackInfo> x_callbacks;
   for (int round = 0;; ++round) {
     std::vector<CallbackAction> actions =
-        glm_.RequiredForObject(client, oid, req.mode);
+        glm_.RequiredForObject(client, oid, item.mode);
     if (actions.empty()) break;
     if (round >= 8) {
       return Status::WouldBlock(WouldBlockReason::kLockConflict,
@@ -530,13 +544,13 @@ Answer<wire::LockObject> Server::Handle(ClientId client,
     FINELOG_RETURN_IF_ERROR(ExecuteCallbacks(actions, &x_callbacks));
   }
 
-  glm_.GrantObject(client, oid, req.mode);
+  glm_.GrantObject(client, oid, item.mode);
   auto frame = GetPage(oid.page);
   if (!frame.ok()) {
     return frame.status();
   }
   Page& page = frame.value()->page;
-  if (req.mode == LockMode::kExclusive) {
+  if (item.mode == LockMode::kExclusive) {
     // Hand-off entries for "ghost writers": clients with unflushed updates
     // (a DCT entry) but no remaining lock on the object -- e.g. a client
     // whose lock claim was rejected during restart. Without a callback log
@@ -557,18 +571,18 @@ Answer<wire::LockObject> Server::Handle(ClientId client,
     }
   }
 
-  if (req.mode == LockMode::kExclusive && !dct_.Get(oid.page, client)) {
+  if (item.mode == LockMode::kExclusive && !dct_.Get(oid.page, client)) {
     // First exclusive grant: remember the PSN (Section 3.2). The client's
     // cached copy PSN if it has the page, else the PSN of the copy we are
     // about to send.
     dct_.Insert(oid.page, client,
-                req.cached_psn != kNullPsn ? req.cached_psn : page.psn());
+                item.cached_psn != kNullPsn ? item.cached_psn : page.psn());
   }
 
   ObjectLockReply reply;
   reply.server_psn = page.psn();
   reply.x_callbacks = std::move(x_callbacks);
-  if (req.cached_psn != kNullPsn) {
+  if (item.cached_psn != kNullPsn) {
     // Client has the page: refresh just the object (fine-granularity
     // transfer).
     if (page.SlotExists(oid.slot)) {
@@ -583,23 +597,6 @@ Answer<wire::LockObject> Server::Handle(ClientId client,
     reply.object_present = page.SlotExists(oid.slot);
   }
   return reply;
-}
-
-Answer<wire::LockObjectBatch> Server::Handle(
-    ClientId client, const wire::LockObjectBatch& req) {
-  std::vector<ObjectLockOutcome> out;
-  out.reserve(req.items.size());
-  for (const wire::LockObject& item : req.items) {
-    Result<ObjectLockReply> r = std::move(Handle(client, item).value());
-    ObjectLockOutcome o;
-    if (r.ok()) {
-      o.reply = std::move(r.value());
-    } else {
-      o.status = r.status();
-    }
-    out.push_back(std::move(o));
-  }
-  return out;
 }
 
 Answer<wire::LockPage> Server::Handle(ClientId client,
@@ -627,7 +624,7 @@ Answer<wire::LockPage> Server::Handle(ClientId client,
   if (!frame.ok()) return frame.status();
   Page& page = frame.value()->page;
   if (req.mode == LockMode::kExclusive) {
-    // Ghost-writer hand-off entries (see LockObject); a page grant covers
+    // Ghost-writer hand-off entries (see GrantObjectLock); a page grant covers
     // every object, hence the sentinel slot.
     for (const DctEntry& e : dct_.EntriesForPage(pid)) {
       if (e.client == client || e.psn == kNullPsn) continue;
@@ -659,38 +656,22 @@ Answer<wire::LockPage> Server::Handle(ClientId client,
 
 Answer<wire::FetchPage> Server::Handle(ClientId client,
                                        const wire::FetchPage& req) {
-  FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(req.pid));
-  auto frame = GetPage(req.pid);
-  if (!frame.ok()) return frame.status();
-  PageFetchReply reply;
-  reply.page_image = frame.value()->page.raw();
-  auto entry = dct_.Get(req.pid, client);
-  reply.dct_psn = entry ? entry->psn : kNullPsn;
-  metrics_->Add(Counter::kServerPageFetches);
-  return reply;
-}
-
-Answer<wire::FetchPages> Server::Handle(ClientId client,
-                                        const wire::FetchPages& req) {
-  std::vector<PageFetchReply> out;
-  out.reserve(req.pids.size());
-  for (PageId pid : req.pids) {
-    Result<PageFetchReply> r =
-        std::move(Handle(client, wire::FetchPage{pid}).value());
-    if (!r.ok()) return r.status();
-    out.push_back(std::move(r.value()));
+  std::vector<PageFetchReply> out(req.pids.size());
+  for (size_t i = 0; i < req.pids.size(); ++i) {
+    const PageId pid = req.pids[i];
+    FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(pid));
+    auto frame = GetPage(pid);
+    if (!frame.ok()) return frame.status();
+    out[i].page_image = frame.value()->page.raw();
+    auto entry = dct_.Get(pid, client);
+    out[i].dct_psn = entry ? entry->psn : kNullPsn;
+    metrics_->Add(Counter::kServerPageFetches);
   }
   return out;
 }
 
 Answer<wire::ShipPage> Server::Handle(ClientId client,
                                       const wire::ShipPage& req) {
-  FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(req.page.page));
-  return ApplyShippedPage(client, req.page);
-}
-
-Answer<wire::ShipPages> Server::Handle(ClientId client,
-                                       const wire::ShipPages& req) {
   for (const ShippedPage& p : req.pages) {
     FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(p.page));
     FINELOG_RETURN_IF_ERROR(ApplyShippedPage(client, p));

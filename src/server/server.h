@@ -257,21 +257,14 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
   template <typename Req>
   ReplyOf<Req> Dispatch(ClientId client, const Req& request);
 
-  // Protocol handlers, one per request; called only from Dispatch (and a
-  // batch handler from its batch's own handler).
+  // Protocol handlers, one per request; called only from Dispatch.
   Answer<wire::LockObject> Handle(ClientId, const wire::LockObject&)
-      FINELOG_REQUIRES(mu_);
-  Answer<wire::LockObjectBatch> Handle(ClientId, const wire::LockObjectBatch&)
       FINELOG_REQUIRES(mu_);
   Answer<wire::LockPage> Handle(ClientId, const wire::LockPage&)
       FINELOG_REQUIRES(mu_);
   Answer<wire::FetchPage> Handle(ClientId, const wire::FetchPage&)
       FINELOG_REQUIRES(mu_);
-  Answer<wire::FetchPages> Handle(ClientId, const wire::FetchPages&)
-      FINELOG_REQUIRES(mu_);
   Answer<wire::ShipPage> Handle(ClientId, const wire::ShipPage&)
-      FINELOG_REQUIRES(mu_);
-  Answer<wire::ShipPages> Handle(ClientId, const wire::ShipPages&)
       FINELOG_REQUIRES(mu_);
   Answer<wire::AllocatePage> Handle(ClientId, const wire::AllocatePage&)
       FINELOG_REQUIRES(mu_);
@@ -300,6 +293,12 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
   Answer<wire::RecGetCallbackList> Handle(ClientId, const wire::RecGetCallbackList&)
       FINELOG_REQUIRES(mu_);
   Answer<wire::RecOrderedFetch> Handle(ClientId, const wire::RecOrderedFetch&)
+      FINELOG_REQUIRES(mu_);
+
+  // Grants one object lock of a LockObject request: callbacks first, then
+  // the grant and the reply carrying the object or page image.
+  Result<ObjectLockReply> GrantObjectLock(ClientId client,
+                                          const wire::LockObject::Item& item)
       FINELOG_REQUIRES(mu_);
 
   // Merges a shipped page into the server copy and updates the DCT.

@@ -49,7 +49,6 @@ namespace finelog {
   X(kClientIdleReleases, "client.idle_releases")                             \
   X(kClientLockHits, "client.lock_hits")                                     \
   X(kClientLockMisses, "client.lock_misses")                                 \
-  X(kClientLogBytesPunched, "client.log_bytes_punched")                      \
   X(kClientLogFullEvents, "client.log_full_events")                          \
   X(kClientLogPendingHighWater, "client.log_pending_high_water")             \
   X(kClientLogSpaceForces, "client.log_space_forces")                        \

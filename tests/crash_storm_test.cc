@@ -1,9 +1,16 @@
-// Crash storms (see tests/crash_storm_harness.h), plus the same storm with
-// instant restart on.
-
-#include "tests/crash_storm_harness.h"
+// Crash storms: multi-round randomized workloads with repeated crash +
+// recovery cycles -- the harness that hardened the recovery protocol.
+// Each round runs a burst of interleaved transactions, crashes a randomized
+// subset of nodes (possibly everything), recovers, and continues. The
+// invariants, checked continuously and at the end:
+//   * reads never observe a value other than the oracle's expected one,
+//   * after the final quiesce, every committed update is present and every
+//     uncommitted one absent.
 
 #include <gtest/gtest.h>
+
+#include <ostream>
+#include <string>
 
 #include "core/oracle.h"
 #include "core/system.h"
@@ -14,17 +21,126 @@
 namespace finelog {
 namespace {
 
+enum class CrashKind { kClients, kServer, kComplex, kEverything };
+
+struct StormCase {
+  const char* name;
+  CrashKind kind;
+  AccessPattern pattern;
+  uint64_t seed;
+  LockGranularity granularity = LockGranularity::kObject;
+  SamePageUpdatePolicy same_page = SamePageUpdatePolicy::kMergeCopies;
+  double resize_reserve = 0.0;
+};
+
+// Prints as the case's name and seed, which is also the test name suffix:
+// gtest would print the raw bytes otherwise, name pointer included, and
+// gtest_discover_tests puts that print into every ctest name.
+void PrintTo(const StormCase& sc, std::ostream* os) {
+  *os << sc.name << "_s" << sc.seed;
+}
+
 class CrashStormTest : public ::testing::TestWithParam<StormCase> {};
 
-TEST_P(CrashStormTest, SurvivesRepeatedCrashes) { RunCrashStorm(GetParam()); }
+TEST_P(CrashStormTest, SurvivesRepeatedCrashes) {
+  const StormCase& sc = GetParam();
+  SystemConfig config = SmallConfig(std::string("storm_") + sc.name + "_" +
+                                    std::to_string(sc.seed));
+  config.num_clients = 4;
+  config.client_cache_pages = 6;
+  config.lock_granularity = sc.granularity;
+  config.same_page_policy = sc.same_page;
+  config.resize_reserve = sc.resize_reserve;
+  auto system = System::Create(config).value();
 
-INSTANTIATE_TEST_SUITE_P(
-    Storms, CrashStormTest,
-    [] {
-      auto cases = StormCases(false);
-      return ::testing::ValuesIn(cases.begin(), cases.end());
-    }(),
-    StormName);
+  Oracle oracle;
+  WorkloadOptions options;
+  options.txns_per_client = 14;
+  options.ops_per_txn = 5;
+  options.write_fraction = 0.6;
+  options.pattern = sc.pattern;
+  options.seed = sc.seed;
+  Workload workload(system.get(), &oracle, options);
+
+  Rng rng(sc.seed * 7919 + 13);
+  for (int round = 0; round < 8; ++round) {
+    auto done = workload.RunSteps(15 + rng.Uniform(45));
+    ASSERT_TRUE(done.ok()) << done.status().ToString();
+    if (done.value()) break;
+    if (round % 2 == 1) continue;
+
+    bool crash_clients = sc.kind != CrashKind::kServer;
+    bool crash_server = sc.kind != CrashKind::kClients;
+    if (crash_clients) {
+      size_t victims = sc.kind == CrashKind::kEverything
+                           ? system->num_clients()
+                           : 1 + rng.Uniform(2);
+      for (size_t v = 0; v < victims; ++v) {
+        size_t i = sc.kind == CrashKind::kEverything
+                       ? v
+                       : rng.Uniform(system->num_clients());
+        if (system->client(i).crashed()) continue;
+        ASSERT_TRUE(system->CrashClient(i).ok());
+        oracle.CrashClient(static_cast<ClientId>(i));
+        workload.OnClientCrashed(i);
+      }
+    }
+    if (crash_server) {
+      ASSERT_TRUE(system->CrashServer().ok());
+    }
+    ASSERT_TRUE(system->RecoverAll().ok());
+    for (size_t i = 0; i < system->num_clients(); ++i) {
+      if (!system->client(i).crashed()) workload.OnClientRecovered(i);
+    }
+    EXPECT_EQ(workload.stats().read_mismatches, 0u)
+        << "stale read after round " << round;
+  }
+
+  ASSERT_TRUE(workload.Run().ok());
+  EXPECT_EQ(workload.stats().read_mismatches, 0u);
+  EXPECT_GT(workload.stats().commits, 0u);
+  ASSERT_TRUE(system->FlushEverything().ok());
+  auto mismatches = oracle.Verify(system.get(), 0);
+  ASSERT_TRUE(mismatches.ok()) << mismatches.status().ToString();
+  EXPECT_EQ(mismatches.value(), 0u);
+}
+
+constexpr StormCase kStorms[] = {
+    {"clients_uniform", CrashKind::kClients, AccessPattern::kUniform, 301},
+    {"clients_hotcold", CrashKind::kClients, AccessPattern::kHotCold, 302},
+    {"clients_shared", CrashKind::kClients, AccessPattern::kSharedHot, 303},
+    {"server_uniform", CrashKind::kServer, AccessPattern::kUniform, 304},
+    {"server_hotcold", CrashKind::kServer, AccessPattern::kHotCold, 305},
+    {"server_shared", CrashKind::kServer, AccessPattern::kSharedHot, 306},
+    {"complex_uniform", CrashKind::kComplex, AccessPattern::kUniform, 307},
+    {"complex_hotcold", CrashKind::kComplex, AccessPattern::kHotCold, 308},
+    {"complex_shared", CrashKind::kComplex, AccessPattern::kSharedHot, 309},
+    {"complex_private", CrashKind::kComplex, AccessPattern::kPrivate, 310},
+    {"everything_uniform", CrashKind::kEverything, AccessPattern::kUniform, 311},
+    {"everything_hotcold", CrashKind::kEverything, AccessPattern::kHotCold, 312},
+    {"everything_shared", CrashKind::kEverything, AccessPattern::kSharedHot, 313},
+    {"complex_hotcold", CrashKind::kComplex, AccessPattern::kHotCold, 314},
+    {"complex_shared", CrashKind::kComplex, AccessPattern::kSharedHot, 315},
+    {"everything_uniform", CrashKind::kEverything, AccessPattern::kUniform, 316},
+    // Baseline policies under the harshest crash kinds. (The page-locking
+    // baseline is exercised up to complex crashes; the all-nodes-at-once
+    // storm is a documented limitation of that baseline's approximated
+    // recovery -- see DESIGN.md section 8, item 14.)
+    {"pagelock_complex", CrashKind::kComplex, AccessPattern::kHotCold, 317,
+     LockGranularity::kPage},
+    {"token_server", CrashKind::kServer, AccessPattern::kSharedHot, 319,
+     LockGranularity::kObject, SamePageUpdatePolicy::kUpdateToken},
+    {"token_complex", CrashKind::kComplex, AccessPattern::kSharedHot, 320,
+     LockGranularity::kObject, SamePageUpdatePolicy::kUpdateToken},
+    // Footnote-3 reservation active during crash storms.
+    {"reserve_complex", CrashKind::kComplex, AccessPattern::kHotCold, 321,
+     LockGranularity::kObject, SamePageUpdatePolicy::kMergeCopies, 1.0},
+    {"reserve_everything", CrashKind::kEverything, AccessPattern::kSharedHot,
+     322, LockGranularity::kObject, SamePageUpdatePolicy::kMergeCopies, 1.0},
+};
+
+INSTANTIATE_TEST_SUITE_P(Storms, CrashStormTest, ::testing::ValuesIn(kStorms),
+                         ::testing::PrintToStringParamName());
 
 // The same storm with instant restart on (DESIGN.md section 18): after every
 // server crash the workload resumes against an unrecovered backlog, with
@@ -134,7 +250,8 @@ constexpr StormCase kLazyStorms[] = {
 };
 
 INSTANTIATE_TEST_SUITE_P(LazyStorms, InstantRestartStormTest,
-                         ::testing::ValuesIn(kLazyStorms), StormName);
+                         ::testing::ValuesIn(kLazyStorms),
+                         ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace finelog

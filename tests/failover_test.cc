@@ -156,11 +156,24 @@ TEST(FailoverTest, PartitionedOldPrimaryIsFenced) {
     Status st = deposed.Call(ClientId(c), wire::Heartbeat{});
     EXPECT_TRUE(st.IsFailoverInProgress()) << st.ToString();
   }
-  auto lock = deposed.Call(
-      ClientId(0),
-      wire::LockObject{ObjectId{PageId(0), 0}, LockMode::kShared, Psn()});
+  const wire::LockObject::Item item{ObjectId{PageId(0), 0}};
+  auto lock = deposed.Call(ClientId(0), wire::LockObject{{&item, 1}});
   EXPECT_TRUE(lock.status().IsFailoverInProgress())
       << lock.status().ToString();
+  // A multi-item request is refused whole, and the refusal answers with one
+  // control message, exactly like the one-item request above.
+  const Channel::TypeStats& replies =
+      system->channel().stats(MessageType::kLockReply);
+  const uint64_t replies_before = replies.count;
+  const uint64_t reply_items_before = replies.items;
+  const wire::LockObject::Item items[] = {{ObjectId{PageId(0), 0}},
+                                          {ObjectId{PageId(0), 1}},
+                                          {ObjectId{PageId(1), 0}}};
+  auto batch = deposed.Call(ClientId(0), wire::LockObject{items});
+  EXPECT_TRUE(batch.status().IsFailoverInProgress())
+      << batch.status().ToString();
+  EXPECT_EQ(replies.count, replies_before + 1);
+  EXPECT_EQ(replies.items, reply_items_before + 1);
   EXPECT_GT(m.Get(Counter::kFailoverDeposedFenced), fenced_before);
 
   // And its replication stream is dead too: a membership record shipped

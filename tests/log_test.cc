@@ -142,38 +142,6 @@ TEST_F(LogTest, ReclaimAdvanceFreesSpace) {
   EXPECT_TRUE(log->Append(SampleUpdate(1, kNullLsn, 0, 0)).ok());
 }
 
-TEST_F(LogTest, PunchedReclaimSpaceFreesBlocksKeepsLsns) {
-  auto log = OpenLog();
-  std::vector<Lsn> lsns;
-  // ~40KB of records so whole filesystem blocks become reclaimable.
-  for (int i = 0; i < 200; ++i) {
-    lsns.push_back(
-        log->Append(SampleUpdate(1, kNullLsn, static_cast<uint32_t>(i),
-                                 static_cast<uint64_t>(i)))
-            .value());
-  }
-  ASSERT_TRUE(log->Force().ok());
-  Lsn tail = log->end_lsn();
-
-  log->SetReclaimLsn(lsns[150]);
-  auto punched = log->PunchReclaimedSpace();
-  ASSERT_TRUE(punched.ok());
-  if (punched.value() == 0) {
-    GTEST_SKIP() << "filesystem does not support hole punching";
-  }
-  EXPECT_GE(punched.value(), 4096u);
-
-  // Records at and past the reclaim point remain readable at their LSNs.
-  for (int i = 150; i < 200; ++i) {
-    auto rec = log->Read(lsns[i]);
-    ASSERT_TRUE(rec.ok()) << "lsn " << lsns[i];
-    EXPECT_EQ(rec.value().page, PageId(static_cast<uint32_t>(i)));
-  }
-  // And appends continue exactly where they left off.
-  Lsn next = log->Append(SampleUpdate(2, kNullLsn, 999, 0)).value();
-  EXPECT_EQ(next, tail);
-}
-
 TEST_F(LogTest, AllRecordTypesRoundTrip) {
   LogRecord cb = LogRecord::Callback(TxnId(9), Lsn(100),
                                      ObjectId{PageId(4), 2}, ClientId(3),

@@ -18,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/oracle.h"
 #include "core/system.h"
@@ -197,73 +199,122 @@ TEST(NetIdempotencyTest, DropsRetryToExactlyOnce) {
 // Targeted one-shot fail points: single-fault determinism.
 // ---------------------------------------------------------------------------
 
-// One duplicated lock request: the body runs once, the duplicate is a dedup
-// hit whose cached reply is resent. Exactly two extra messages (the request
-// copy and the resent reply) and an identical final state.
+// The two request shapes the targeted tests fault: one Write (a one-item
+// lock request) and a 4-item WriteBatch under max_batch_items = 4 (one
+// 4-item lock request).
+struct RequestShape {
+  const char* name;
+  uint32_t items;  // Objects written, and items in the one lock request.
+};
+constexpr RequestShape kRequestShapes[] = {{"Write", 1}, {"WriteBatch", 4}};
+
+SystemConfig ShapeConfig(const std::string& name, const RequestShape& shape,
+                         const NetFaultConfig& net) {
+  SystemConfig config = NetConfig(name + "_" + shape.name, net);
+  config.max_batch_items = shape.items;
+  return config;
+}
+
+// One client-0 transaction writing `value` to `shape.items` consecutive
+// objects from `first`, then committing.
+void WriteAndCommit(System* system, const RequestShape& shape, ObjectId first,
+                    const std::string& value) {
+  Client& c = system->client(0);
+  TxnId txn = c.Begin().value();
+  if (shape.items == 1) {
+    ASSERT_TRUE(c.Write(txn, first, value).ok());
+  } else {
+    std::vector<std::pair<ObjectId, std::string>> writes;
+    for (uint32_t i = 0; i < shape.items; ++i) {
+      writes.emplace_back(
+          ObjectId{first.page, static_cast<SlotId>(first.slot + i)}, value);
+    }
+    ASSERT_TRUE(c.WriteBatch(txn, writes).ok());
+  }
+  ASSERT_TRUE(c.Commit(txn).ok());
+}
+
+// One duplicated lock request: the body runs once (every item is granted
+// once), the duplicate is a dedup hit whose cached reply is resent. Exactly
+// two extra messages (the request copy and the resent reply) and an
+// identical final state.
 TEST(NetIdempotencyTest, DuplicateRequestExecutesBodyOnce) {
-  auto script = [](System* system) {
-    Client& c = system->client(0);
-    TxnId txn = c.Begin().value();
-    ASSERT_TRUE(
-        c.Write(txn, ObjectId{PageId(1), 0},
-                std::string(system->config().object_size, 'x')).ok());
-    ASSERT_TRUE(c.Commit(txn).ok());
-  };
+  for (const RequestShape& shape : kRequestShapes) {
+    SCOPED_TRACE(shape.name);
+    const ObjectId first{PageId(1), 0};
+    auto clean =
+        System::Create(ShapeConfig("net_point_dup_clean", shape,
+                                   NetFaultConfig{}))
+            .value();
+    const std::string value(clean->config().object_size, 'x');
+    WriteAndCommit(clean.get(), shape, first, value);
 
-  SystemConfig clean_config = NetConfig("net_point_dup_clean", NetFaultConfig{});
-  auto clean = System::Create(clean_config).value();
-  script(clean.get());
+    FaultInjector injector;
+    NetFaultConfig net;
+    net.use_fail_points = true;
+    SystemConfig config = ShapeConfig("net_point_dup", shape, net);
+    config.fault_injector = &injector;
+    auto system = System::Create(config).value();
+    injector.ResetCounts();
+    injector.ArmPoint("net.client.lock_object.dup", 1, FaultAction::kError,
+                      0.5);
+    WriteAndCommit(system.get(), shape, first, value);
+    ASSERT_TRUE(injector.triggered());
 
-  FaultInjector injector;
-  NetFaultConfig net;
-  net.use_fail_points = true;
-  SystemConfig config = NetConfig("net_point_dup", net);
-  config.fault_injector = &injector;
-  auto system = System::Create(config).value();
-  injector.ResetCounts();
-  injector.ArmPoint("net.client.lock_object.dup", 1, FaultAction::kError, 0.5);
-  script(system.get());
-  ASSERT_TRUE(injector.triggered());
-
-  EXPECT_EQ(system->metrics().Get(Counter::kNetDups), 1u);
-  EXPECT_EQ(system->metrics().Get(Counter::kNetDedupHits), 1u);
-  EXPECT_EQ(system->channel().total_messages(),
-            clean->channel().total_messages() + 2);
-  EXPECT_EQ(StateDigest(system.get()), StateDigest(clean.get()));
+    EXPECT_EQ(system->metrics().Get(Counter::kNetDups), 1u);
+    EXPECT_EQ(system->metrics().Get(Counter::kNetDedupHits), 1u);
+    EXPECT_EQ(system->metrics().Get(Counter::kServerLockRequests),
+              shape.items);
+    EXPECT_EQ(clean->metrics().Get(Counter::kServerLockRequests), shape.items);
+    EXPECT_EQ(system->channel().total_messages(),
+              clean->channel().total_messages() + 2);
+    EXPECT_EQ(StateDigest(system.get()), StateDigest(clean.get()));
+  }
 }
 
 // One dropped lock reply: the caller times out and retries, the server sees
 // an already-executed sequence number, and the cached reply completes the
-// exchange -- the grant is not re-executed and no state diverges.
+// exchange -- no grant is re-executed and no state diverges.
 TEST(NetIdempotencyTest, ReplyDropRecoversViaDedupCache) {
-  FaultInjector injector;
-  NetFaultConfig net;
-  net.use_fail_points = true;
-  SystemConfig config = NetConfig("net_point_reply_drop", net);
-  config.fault_injector = &injector;
-  auto system = System::Create(config).value();
-  injector.ResetCounts();
-  injector.ArmPoint("net.server.lock_object.drop", 1, FaultAction::kError, 0.5);
+  for (const RequestShape& shape : kRequestShapes) {
+    SCOPED_TRACE(shape.name);
+    const ObjectId first{PageId(2), 1};
+    auto clean =
+        System::Create(ShapeConfig("net_point_reply_drop_clean", shape,
+                                   NetFaultConfig{}))
+            .value();
+    const std::string value(clean->config().object_size, 'y');
+    WriteAndCommit(clean.get(), shape, first, value);
 
-  uint64_t before_us = system->clock().now_us();
-  Client& c = system->client(0);
-  TxnId txn = c.Begin().value();
-  std::string value(system->config().object_size, 'y');
-  ASSERT_TRUE(c.Write(txn, ObjectId{PageId(2), 1}, value).ok());
-  ASSERT_TRUE(c.Commit(txn).ok());
-  ASSERT_TRUE(injector.triggered());
+    FaultInjector injector;
+    NetFaultConfig net;
+    net.use_fail_points = true;
+    SystemConfig config = ShapeConfig("net_point_reply_drop", shape, net);
+    config.fault_injector = &injector;
+    auto system = System::Create(config).value();
+    injector.ResetCounts();
+    injector.ArmPoint("net.server.lock_object.drop", 1, FaultAction::kError,
+                      0.5);
 
-  EXPECT_EQ(system->metrics().Get(Counter::kNetDrops), 1u);
-  EXPECT_EQ(system->metrics().Get(Counter::kNetRpcTimeouts), 1u);
-  EXPECT_EQ(system->metrics().Get(Counter::kNetRpcRetries), 1u);
-  EXPECT_EQ(system->metrics().Get(Counter::kNetDedupHits), 1u);
-  // The lost reply cost at least one timeout of simulated time.
-  EXPECT_GE(system->clock().now_us() - before_us,
-            system->config().net_faults.rpc_timeout_us);
+    uint64_t before_us = system->clock().now_us();
+    WriteAndCommit(system.get(), shape, first, value);
+    ASSERT_TRUE(injector.triggered());
 
-  auto got = ProbeRead(system.get(), ObjectId{PageId(2), 1});
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(got.value(), value);
+    EXPECT_EQ(system->metrics().Get(Counter::kNetDrops), 1u);
+    EXPECT_EQ(system->metrics().Get(Counter::kNetRpcTimeouts), 1u);
+    EXPECT_EQ(system->metrics().Get(Counter::kNetRpcRetries), 1u);
+    EXPECT_EQ(system->metrics().Get(Counter::kNetDedupHits), 1u);
+    EXPECT_EQ(system->metrics().Get(Counter::kServerLockRequests),
+              shape.items);
+    // The lost reply cost at least one timeout of simulated time.
+    EXPECT_GE(system->clock().now_us() - before_us,
+              system->config().net_faults.rpc_timeout_us);
+
+    auto got = ProbeRead(system.get(), first);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), value);
+    EXPECT_EQ(StateDigest(system.get()), StateDigest(clean.get()));
+  }
 }
 
 // A request that never gets through exhausts its retries and surfaces a

@@ -47,8 +47,7 @@ Rule families
                          heartbeat handlers that never touch the page plane
                          are exempt by construction.
   prologue-only          Handlers (Server::Handle overloads) are called only
-                         from the prologue Server::Dispatch, or from another
-                         handler (a batch serving its items), so no path
+                         from the prologue Server::Dispatch, so no path
                          reaches protocol logic around the fences.
   rec-plane-flag         Every wire struct's recovery_plane flag matches its
                          name: set exactly on the Rec-prefixed exchanges, so
@@ -136,7 +135,7 @@ HANDLER = "Handle"
 WIRE_NAMESPACE = "wire"
 SERVER_CALL_TEMPLATE = "ServerCall"
 RECOVERY_PLANE_PREFIX = "Rec"
-MIN_ENDPOINTS = 13  # The non-Rec data plane; guards request-list parse rot.
+MIN_ENDPOINTS = 11  # The non-Rec data plane; guards request-list parse rot.
 
 CHOKEPOINT_CLASS = "Channel"
 CHOKEPOINT_METHODS = {"Count", "CountBatch"}
@@ -203,7 +202,6 @@ class WireStruct:
         self.line = line
         self.has_spec = False
         self.recovery_plane = False
-        self.spec_from = None   # `kSpec = Other::kSpec` shares Other's spec.
 
 
 class Program:
@@ -216,12 +214,7 @@ class Program:
         self.replay_decls = set()  # names annotated at declaration site
 
     def recovery_plane(self, name):
-        seen = set()
         ws = self.wire_structs.get(name)
-        while ws is not None and ws.spec_from is not None \
-                and ws.name not in seen:
-            seen.add(ws.name)
-            ws = self.wire_structs.get(ws.spec_from)
         return ws is not None and ws.recovery_plane
 
     def add_function(self, fn):
@@ -571,10 +564,9 @@ def signature_name(head_toks):
     return qname, name, cls
 
 
-def handler_call_type(toks, paren_idx, in_handler, last_wire):
+def handler_call_type(toks, paren_idx):
     """The request type a `Handle(...)` call serves: a wire::X named in its
-    arguments, else -- inside a handler serving a batch's items -- the
-    wire::X most recently named in the body (the item's declaration)."""
+    arguments."""
     depth = 0
     args = []
     for k in range(paren_idx, len(toks)):
@@ -585,22 +577,14 @@ def handler_call_type(toks, paren_idx, in_handler, last_wire):
             if depth == 0:
                 break
         args.append(toks[k])
-    found = first_wire_type(args)
-    if found is None and in_handler:
-        found = last_wire
-    return found
+    return first_wire_type(args)
 
 
 def collect_body_events(tokens, open_idx, close_idx, fn, text):
     order = 0
     toks = [t for t, _ in tokens[:close_idx]]
-    in_handler = fn.name.startswith(HANDLER + "(")
-    last_wire = None
     for i in range(open_idx + 1, close_idx):
         t, off = tokens[i]
-        x = wire_type_at(toks, i)
-        if x is not None:
-            last_wire = x
         if not re.match(r"[A-Za-z_]\w*$", t):
             continue
         order += 1
@@ -608,8 +592,7 @@ def collect_body_events(tokens, open_idx, close_idx, fn, text):
                 and t not in CPP_KEYWORDS:
             name = t
             if t == HANDLER:
-                name = handler_key(
-                    handler_call_type(toks, i + 1, in_handler, last_wire))
+                name = handler_key(handler_call_type(toks, i + 1))
             fn.calls.append((name, order, line_of(text, off)))
         if t in PROTECTED_STATE:
             fn.state_idents.append((t, order, line_of(text, off)))
@@ -692,12 +675,7 @@ def parse_file_internal(relpath, text, program):
 
 def parse_wire_struct(name, body, relpath, line):
     ws = WireStruct(name, relpath, line)
-    for k, t in enumerate(body):
-        if t != "kSpec":
-            continue
-        ws.has_spec = True
-        if body[k + 1:k + 2] == ["="] and body[k + 3:k + 5] == ["::", "kSpec"]:
-            ws.spec_from = body[k + 2]
+    ws.has_spec = "kSpec" in body
     for k in range(len(body) - 2):
         if body[k] == "recovery_plane" and body[k + 1] == "=":
             ws.recovery_plane = body[k + 2] == "true"
@@ -976,12 +954,10 @@ def check_recovery_guard(program, instances):
 
 def check_prologue_only(program):
     """prologue-only: a handler runs only behind the prologue's fences --
-    called from Server::Dispatch, or from another handler (a batch serving
-    its items)."""
+    called from Server::Dispatch and nowhere else."""
     out = []
     for fn in program.functions.values():
-        if fn.cls == ENDPOINT_IMPL and (
-                fn.name == PROLOGUE or fn.name.startswith(HANDLER + "(")):
+        if fn.cls == ENDPOINT_IMPL and fn.name == PROLOGUE:
             continue
         for name, _order, line in fn.calls:
             if name == HANDLER or name.startswith(HANDLER + "("):
@@ -1093,6 +1069,7 @@ FIXTURES = {
     "bad_missing_mastership.cc": "mastership-fence",
     "bad_missing_recovery_guard.cc": "recovery-guard",
     "bad_prologue_bypass.cc": "prologue-only",
+    "bad_handler_calls_handler.cc": "prologue-only",
     "bad_rec_plane_flag.cc": "rec-plane-flag",
     "bad_raw_channel.cc": "rpc-chokepoint",
     "bad_unannotated_field.cc": "shared-state-annotations",
