@@ -28,17 +28,12 @@ Result<std::unique_ptr<Client>> Client::Create(ClientId id,
 
 size_t Client::active_txns() const {
   SimMutexLock lock(mu_);
-  size_t n = 0;
-  for (const auto& [id, t] : txns_) {
-    (void)id;
-    if (t.state == Txn::State::kActive) ++n;
-  }
-  return n;
+  return txns_.size();
 }
 
 Result<Client::Txn*> Client::GetActiveTxn(TxnId txn) {
   auto it = txns_.find(txn);
-  if (it == txns_.end() || it->second.state != Txn::State::kActive) {
+  if (it == txns_.end()) {
     return Status::InvalidArgument("no such active transaction");
   }
   return &it->second;
@@ -241,23 +236,22 @@ Status Client::AcquirePageLock(TxnId txn, PageId pid, LockMode mode) {
   return Status::OK();
 }
 
-Status Client::LogPendingCallback(TxnId txn, ObjectId oid) {
+Status Client::AppendTxnLog(Txn* t, const LogRecord& rec) {
+  FINELOG_ASSIGN_OR_RETURN(Lsn lsn, AppendLog(rec));
+  if (t->first_lsn == kNullLsn) t->first_lsn = lsn;
+  t->last_lsn = lsn;
+  return Status::OK();
+}
+
+Status Client::LogPendingCallback(TxnId txn, Txn* t, ObjectId oid) {
   auto pit = pending_callbacks_.find(oid);
   if (pit == pending_callbacks_.end()) return Status::OK();
   std::vector<XCallbackInfo> infos = std::move(pit->second);
   pending_callbacks_.erase(pit);
-  auto it = txns_.find(txn);
-  Txn* t = it != txns_.end() ? &it->second : nullptr;
   for (const XCallbackInfo& info : infos) {
-    LogRecord rec = LogRecord::Callback(
-        txn, t != nullptr ? t->last_lsn : kNullLsn, info.object,
-        info.responder, info.psn);
-    auto lsn = AppendLog(rec);
-    if (!lsn.ok()) return lsn.status();
-    if (t != nullptr) {
-      if (t->first_lsn == kNullLsn) t->first_lsn = lsn.value();
-      t->last_lsn = lsn.value();
-    }
+    FINELOG_RETURN_IF_ERROR(AppendTxnLog(
+        t, LogRecord::Callback(txn, t->last_lsn, info.object, info.responder,
+                               info.psn)));
     metrics_->Add(Counter::kClientCallbackRecords);
   }
   return Status::OK();
@@ -347,9 +341,7 @@ void Client::UpdateReclaimLsn() {
   }
   for (const auto& [id, t] : txns_) {
     (void)id;
-    if (t.state == Txn::State::kActive && t.first_lsn != kNullLsn) {
-      reclaim = std::min(reclaim, t.first_lsn);
-    }
+    if (t.first_lsn != kNullLsn) reclaim = std::min(reclaim, t.first_lsn);
   }
   if (log_->checkpoint_lsn() != kNullLsn) {
     reclaim = std::min(reclaim, log_->checkpoint_lsn());
@@ -369,12 +361,11 @@ Result<Lsn> Client::AppendLog(const LogRecord& rec) {
 Status Client::ForceLog() {
   FINELOG_RETURN_IF_ERROR(log_->Force());
   channel_->clock()->Advance(channel_->costs().log_force_us);
-  if (!pending_commits_.empty()) {
+  if (pending_commits_ > 0) {
     metrics_->Add(Counter::kClientGroupCommits);
-    metrics_->Add(Counter::kClientGroupCommitTxns, pending_commits_.size());
-    metrics_->SetMax(Counter::kClientGroupCommitMaxBatch,
-                     pending_commits_.size());
-    pending_commits_.clear();
+    metrics_->Add(Counter::kClientGroupCommitTxns, pending_commits_);
+    metrics_->SetMax(Counter::kClientGroupCommitMaxBatch, pending_commits_);
+    pending_commits_ = 0;
   }
   metrics_->SetMax(Counter::kClientLogPendingHighWater,
                    log_->pending_high_water());
@@ -382,8 +373,8 @@ Status Client::ForceLog() {
 }
 
 bool Client::GroupForceDue() const {
-  if (pending_commits_.empty()) return false;
-  if (pending_commits_.size() >=
+  if (pending_commits_ == 0) return false;
+  if (pending_commits_ >=
       std::max<uint32_t>(1, config_.group_commit_max_txns)) {
     return true;
   }
@@ -395,7 +386,7 @@ Status Client::FlushCommitGroup() {
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("client down");
   FINELOG_RETURN_IF_ERROR(MaybeHeartbeat());
-  if (pending_commits_.empty()) return Status::OK();
+  if (pending_commits_ == 0) return Status::OK();
   return ForceLog();
 }
 
@@ -575,9 +566,7 @@ Status Client::TakeCheckpoint() {
   FINELOG_RETURN_IF_ERROR(MaybeHeartbeat());
   std::vector<TxnCheckpointInfo> active;
   for (const auto& [id, t] : txns_) {
-    if (t.state == Txn::State::kActive) {
-      active.push_back(TxnCheckpointInfo{id, t.first_lsn, t.last_lsn});
-    }
+    active.push_back(TxnCheckpointInfo{id, t.first_lsn, t.last_lsn});
   }
   std::vector<DptEntry> dpt;
   dpt.reserve(dpt_.size());
@@ -700,15 +689,13 @@ Status Client::Write(TxnId txn, ObjectId oid, Slice data) {
         "Write() requires a same-sized value; use Resize()");
   }
   EnsureDptEntry(oid.page);
-  FINELOG_RETURN_IF_ERROR(LogPendingCallback(txn, oid));
+  FINELOG_RETURN_IF_ERROR(LogPendingCallback(txn, t, oid));
   FINELOG_RETURN_IF_ERROR(
-      LogPendingCallback(txn, ObjectId{oid.page, kInvalidSlotId}));
+      LogPendingCallback(txn, t, ObjectId{oid.page, kInvalidSlotId}));
   LogRecord rec = LogRecord::Update(txn, t->last_lsn, oid.page, oid.slot,
                                     UpdateOp::kOverwrite, page.psn(),
                                     data.ToString(), std::move(old).value());
-  FINELOG_ASSIGN_OR_RETURN(Lsn lsn, AppendLog(rec));
-  if (t->first_lsn == kNullLsn) t->first_lsn = lsn;
-  t->last_lsn = lsn;
+  FINELOG_RETURN_IF_ERROR(AppendTxnLog(t, rec));
   t->dirtied_pages.insert(oid.page);
 
   FINELOG_RETURN_IF_ERROR(page.WriteObject(oid.slot, data));
@@ -785,14 +772,12 @@ Result<ObjectId> Client::Create(TxnId txn, PageId pid, Slice data) {
 
   EnsureDptEntry(pid);
   FINELOG_RETURN_IF_ERROR(
-      LogPendingCallback(txn, ObjectId{pid, kInvalidSlotId}));
+      LogPendingCallback(txn, t, ObjectId{pid, kInvalidSlotId}));
   LogRecord rec = LogRecord::Update(txn, t->last_lsn, pid, slot.value(),
                                     UpdateOp::kCreate, before, data.ToString(),
                                     std::string());
   rec.capacity = capacity;
-  FINELOG_ASSIGN_OR_RETURN(Lsn lsn, AppendLog(rec));
-  if (t->first_lsn == kNullLsn) t->first_lsn = lsn;
-  t->last_lsn = lsn;
+  FINELOG_RETURN_IF_ERROR(AppendTxnLog(t, rec));
   t->dirtied_pages.insert(pid);
 
   page.BumpPsn();
@@ -824,13 +809,11 @@ Status Client::Resize(TxnId txn, ObjectId oid, Slice data) {
       auto old = page.ReadObject(oid.slot);
       if (!old.ok()) return old.status();
       EnsureDptEntry(oid.page);
-      FINELOG_RETURN_IF_ERROR(LogPendingCallback(txn, oid));
+      FINELOG_RETURN_IF_ERROR(LogPendingCallback(txn, t, oid));
       LogRecord rec = LogRecord::Update(
           txn, t->last_lsn, oid.page, oid.slot, UpdateOp::kResizeInPlace,
           page.psn(), data.ToString(), std::move(old).value());
-      FINELOG_ASSIGN_OR_RETURN(Lsn lsn, AppendLog(rec));
-      if (t->first_lsn == kNullLsn) t->first_lsn = lsn;
-      t->last_lsn = lsn;
+      FINELOG_RETURN_IF_ERROR(AppendTxnLog(t, rec));
       t->dirtied_pages.insert(oid.page);
       FINELOG_RETURN_IF_ERROR(page.ResizeObject(oid.slot, data));
       page.BumpPsn();
@@ -849,15 +832,13 @@ Status Client::Resize(TxnId txn, ObjectId oid, Slice data) {
   if (!old.ok()) return old.status();
 
   EnsureDptEntry(oid.page);
-  FINELOG_RETURN_IF_ERROR(LogPendingCallback(txn, oid));
+  FINELOG_RETURN_IF_ERROR(LogPendingCallback(txn, t, oid));
   FINELOG_RETURN_IF_ERROR(
-      LogPendingCallback(txn, ObjectId{oid.page, kInvalidSlotId}));
+      LogPendingCallback(txn, t, ObjectId{oid.page, kInvalidSlotId}));
   LogRecord rec = LogRecord::Update(txn, t->last_lsn, oid.page, oid.slot,
                                     UpdateOp::kResize, page.psn(),
                                     data.ToString(), std::move(old).value());
-  FINELOG_ASSIGN_OR_RETURN(Lsn lsn, AppendLog(rec));
-  if (t->first_lsn == kNullLsn) t->first_lsn = lsn;
-  t->last_lsn = lsn;
+  FINELOG_RETURN_IF_ERROR(AppendTxnLog(t, rec));
   t->dirtied_pages.insert(oid.page);
 
   FINELOG_RETURN_IF_ERROR(page.ResizeObject(oid.slot, data));
@@ -882,15 +863,13 @@ Status Client::Delete(TxnId txn, ObjectId oid) {
   if (!old.ok()) return old.status();
 
   EnsureDptEntry(oid.page);
-  FINELOG_RETURN_IF_ERROR(LogPendingCallback(txn, oid));
+  FINELOG_RETURN_IF_ERROR(LogPendingCallback(txn, t, oid));
   FINELOG_RETURN_IF_ERROR(
-      LogPendingCallback(txn, ObjectId{oid.page, kInvalidSlotId}));
+      LogPendingCallback(txn, t, ObjectId{oid.page, kInvalidSlotId}));
   LogRecord rec = LogRecord::Update(txn, t->last_lsn, oid.page, oid.slot,
                                     UpdateOp::kDelete, page.psn(), std::string(),
                                     std::move(old).value());
-  FINELOG_ASSIGN_OR_RETURN(Lsn lsn, AppendLog(rec));
-  if (t->first_lsn == kNullLsn) t->first_lsn = lsn;
-  t->last_lsn = lsn;
+  FINELOG_RETURN_IF_ERROR(AppendTxnLog(t, rec));
   t->dirtied_pages.insert(oid.page);
 
   FINELOG_RETURN_IF_ERROR(page.DeleteObject(oid.slot));
@@ -945,10 +924,10 @@ Status Client::Commit(TxnId txn_id) {
         // transaction. A crash before the force loses the whole group --
         // restart recovery sees no durable commit records and rolls the
         // members back, which is the deferred-durability contract.
-        if (pending_commits_.empty()) {
+        if (pending_commits_ == 0) {
           oldest_pending_commit_us_ = channel_->clock()->now_us();
         }
-        pending_commits_.push_back(txn_id);
+        ++pending_commits_;
         if (GroupForceDue()) {
           FINELOG_RETURN_IF_ERROR(ForceLog());
         }
@@ -989,10 +968,9 @@ Status Client::Commit(TxnId txn_id) {
   }
 
   LogRecord end = LogRecord::Control(LogRecordType::kTxnEnd, txn_id, t->last_lsn);
-  auto end_lsn = AppendLog(end);
-  if (!end_lsn.ok()) return end_lsn.status();
+  FINELOG_RETURN_IF_ERROR(AppendLog(end).status());
 
-  t->state = Txn::State::kCommitted;
+  txns_.erase(txn_id);
   llm_.OnTxnEnd(txn_id);  // Locks stay cached (inter-transaction caching).
   UpdateReclaimLsn();
   ++commits_;
@@ -1113,13 +1091,11 @@ Status Client::Abort(TxnId txn_id) {
   FINELOG_RETURN_IF_ERROR(RollbackTo(txn_id, t, kNullLsn));
 
   LogRecord end = LogRecord::Control(LogRecordType::kTxnEnd, txn_id, t->last_lsn);
-  auto end_lsn_or = log_->Append(end, /*enforce_capacity=*/false);
-  if (!end_lsn_or.ok()) return end_lsn_or.status();
-  Lsn end_lsn = end_lsn_or.value();
-  t->last_lsn = end_lsn;
+  FINELOG_RETURN_IF_ERROR(
+      log_->Append(end, /*enforce_capacity=*/false).status());
   FINELOG_RETURN_IF_ERROR(ForceLog());
 
-  t->state = Txn::State::kAborted;
+  txns_.erase(txn_id);
   llm_.OnTxnEnd(txn_id);  // Locks retained even after rollback (Section 2).
   UpdateReclaimLsn();
   ++aborts_;

@@ -102,7 +102,7 @@ class FINELOG_SHARED_STATE_CLASS Client : public ClientEndpoint {
   // partially-filled window. A no-op when nothing is pending.
   Status FlushCommitGroup();
   size_t pending_group_commits() const FINELOG_NO_THREAD_SAFETY_ANALYSIS {
-    return pending_commits_.size();
+    return pending_commits_;
   }
 
   // Independent fuzzy checkpoint: active transactions + DPT (Section 3.2).
@@ -168,9 +168,9 @@ class FINELOG_SHARED_STATE_CLASS Client : public ClientEndpoint {
   }
 
  private:
+  // An open transaction. Commit, Abort and restart undo erase it, so the
+  // table never holds a finished one.
   struct Txn {
-    enum class State { kActive, kCommitted, kAborted };
-    State state = State::kActive;
     Lsn first_lsn = kNullLsn;
     Lsn last_lsn = kNullLsn;
     std::vector<Lsn> savepoints;
@@ -277,11 +277,16 @@ class FINELOG_SHARED_STATE_CLASS Client : public ClientEndpoint {
   void TrackModification(BufferPool::Frame* frame, PageId pid, SlotId slot)
       FINELOG_REQUIRES(mu_);
 
+  // Appends a record of `t` that it may start with (an update or a callback
+  // record) and moves the transaction's first and last LSNs onto it.
+  Status AppendTxnLog(Txn* t, const LogRecord& rec) FINELOG_REQUIRES(mu_);
+
   // Writes the pending callback log record for `oid`, if any (Section 3.1).
   // Callback records are logged lazily at the first update of the
   // called-back object: a grant that is never followed by an update must
   // not suppress the responder's recovery replay.
-  Status LogPendingCallback(TxnId txn, ObjectId oid) FINELOG_REQUIRES(mu_);
+  Status LogPendingCallback(TxnId txn, Txn* t, ObjectId oid)
+      FINELOG_REQUIRES(mu_);
 
   // Update-token baseline: acquire the page's update token before a
   // physical update (Section 3.1).
@@ -310,7 +315,7 @@ class FINELOG_SHARED_STATE_CLASS Client : public ClientEndpoint {
 
   // Restart helpers (client_recovery.cc).
   struct AnalysisResult {
-    std::map<TxnId, Txn> txns;
+    std::map<TxnId, Txn> losers;  // Open at the end of the log.
     std::map<PageId, Lsn> dpt;
     std::vector<ObjectId> x_objects;   // Derived from update records.
     std::vector<PageId> x_pages;       // Derived from structural records.
@@ -323,7 +328,7 @@ class FINELOG_SHARED_STATE_CLASS Client : public ClientEndpoint {
                  const std::map<PageId, Psn>& dct_psn, bool dct_authoritative,
                  const std::map<ObjectId, Psn>& callback_lists)
       FINELOG_REQUIRES(mu_);
-  Status RunUndo(std::map<TxnId, Txn> losers) FINELOG_REQUIRES(mu_);
+  Status RunUndo(const std::map<TxnId, Txn>& losers) FINELOG_REQUIRES(mu_);
 
   // Capability guarding the client's transactional state. Uncontended in
   // the simulation; in the real-clock mode it is this client's gate,
@@ -359,11 +364,11 @@ class FINELOG_SHARED_STATE_CLASS Client : public ClientEndpoint {
   std::map<PageId, RecoverySession> recovery_sessions_
       FINELOG_GUARDED_BY(mu_);
 
-  // Group commit: transactions whose commit records are appended but not yet
-  // forced, in commit order, plus the simulated enqueue time of the oldest.
-  // Lost (with the unforced log tail) on crash; recovery then treats them as
-  // losers, which is exactly the deferred-durability contract.
-  std::vector<TxnId> pending_commits_ FINELOG_GUARDED_BY(mu_);
+  // Group commit: how many transactions have commit records appended but not
+  // yet forced, plus the simulated enqueue time of the oldest. Lost (with the
+  // unforced log tail) on crash; recovery then treats them as losers, which
+  // is exactly the deferred-durability contract.
+  uint32_t pending_commits_ FINELOG_GUARDED_BY(mu_) = 0;
   uint64_t oldest_pending_commit_us_ FINELOG_GUARDED_BY(mu_) = 0;
 
   // Liveness: simulated time of the last heartbeat attempt, and the lease

@@ -43,7 +43,7 @@ Status Client::Crash() {
   recovery_sessions_.clear();
   // The group-commit queue dies with the unforced log tail: its commit
   // records were never durable, so recovery rolls those members back.
-  pending_commits_.clear();
+  pending_commits_ = 0;
   // Liveness state is volatile: the restarted process renews from scratch.
   last_heartbeat_us_ = 0;
   lease_valid_until_ = 0;
@@ -67,7 +67,7 @@ Result<Client::AnalysisResult> Client::RunAnalysis() {
       Txn txn;
       txn.first_lsn = t.first_lsn;
       txn.last_lsn = t.last_lsn;
-      out.txns[t.txn] = txn;
+      out.losers[t.txn] = txn;
     }
     for (const DptEntry& d : ckpt.value().dpt) {
       out.dpt[d.page] = d.redo_lsn;
@@ -85,32 +85,21 @@ Result<Client::AnalysisResult> Client::RunAnalysis() {
     switch (rec.type) {
       case LogRecordType::kUpdate:
       case LogRecordType::kClr: {
-        Txn& txn = out.txns[rec.txn];
+        Txn& txn = out.losers[rec.txn];
         if (txn.first_lsn == kNullLsn) txn.first_lsn = rec.lsn;
         txn.last_lsn = rec.lsn;
         if (out.dpt.count(rec.page) == 0) out.dpt[rec.page] = rec.lsn;
         break;
       }
-      case LogRecordType::kCommit: {
-        auto it = out.txns.find(rec.txn);
-        if (it != out.txns.end()) {
-          it->second.state = Txn::State::kCommitted;
-          it->second.last_lsn = rec.lsn;
-        }
-        break;
-      }
-      case LogRecordType::kAbort: {
-        auto it = out.txns.find(rec.txn);
-        if (it != out.txns.end()) it->second.last_lsn = rec.lsn;
-        break;
-      }
+      case LogRecordType::kCommit:  // A winner needs no undo.
       case LogRecordType::kTxnEnd:
-        out.txns.erase(rec.txn);
+        out.losers.erase(rec.txn);
         break;
+      case LogRecordType::kAbort:
       case LogRecordType::kSavepoint:
       case LogRecordType::kCallback: {
-        auto it = out.txns.find(rec.txn);
-        if (it != out.txns.end()) it->second.last_lsn = rec.lsn;
+        auto it = out.losers.find(rec.txn);
+        if (it != out.losers.end()) it->second.last_lsn = rec.lsn;
         break;
       }
       default:
@@ -260,17 +249,13 @@ Status Client::RunRedo(const AnalysisResult& analysis,
   });
 }
 
-Status Client::RunUndo(std::map<TxnId, Txn> losers) {
-  for (auto& [txn_id, txn] : losers) {
-    if (txn.state == Txn::State::kCommitted) continue;
-    txns_[txn_id] = txn;
-    Txn* t = &txns_[txn_id];
-    t->state = Txn::State::kActive;
+Status Client::RunUndo(const std::map<TxnId, Txn>& losers) {
+  for (const auto& [txn_id, txn] : losers) {
+    Txn* t = &(txns_[txn_id] = txn);
     FINELOG_RETURN_IF_ERROR(RollbackTo(txn_id, t, kNullLsn));
     LogRecord end = LogRecord::Control(LogRecordType::kTxnEnd, txn_id, t->last_lsn);
-    FINELOG_ASSIGN_OR_RETURN(Lsn lsn, AppendLog(end));
-    t->last_lsn = lsn;
-    t->state = Txn::State::kAborted;
+    FINELOG_RETURN_IF_ERROR(AppendLog(end).status());
+    txns_.erase(txn_id);
     metrics_->Add(Counter::kClientLoserRollbacks);
   }
   return log_->Force();
@@ -414,7 +399,7 @@ Status Client::Restart() {
     return Status::WouldBlock("restart waits for another crashed client");
   }
   FINELOG_RETURN_IF_ERROR(redo);
-  FINELOG_RETURN_IF_ERROR(RunUndo(analysis.txns));
+  FINELOG_RETURN_IF_ERROR(RunUndo(analysis.losers));
 
   // Complex crash: the server lost its merged copies along with us, so the
   // redone state must flow back immediately -- otherwise other clients read

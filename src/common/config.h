@@ -100,13 +100,6 @@ struct NetFaultConfig {
   // exempt from injected faults so crash recovery itself stays reliable.
   bool fault_recovery = false;
 
-  // Recovery-plane priority (DESIGN.md section 18): when > 0, a recovery-
-  // plane call gets this many extra retry attempts and backs off a quarter
-  // as long between them, so the repair traffic that unblocks the normal
-  // plane outruns it on a faulty network. 0 (default) treats both planes
-  // identically -- byte-identical schedules.
-  uint32_t rec_plane_priority = 0;
-
   // When true, the FaultInjector is consulted at net.<side>.<endpoint>.<op>
   // points before the rate draws, so tests can arm one-shot deterministic
   // wire faults. Off by default so existing injector-driven crash sweeps
@@ -222,12 +215,6 @@ struct SystemConfig {
   // stop-the-world coordinated sweep of Sections 3.4-3.5 and the message/
   // clock schedule stays byte-identical to the pre-feature build.
   bool instant_restart = false;
-
-  // How many unrecovered pages the background sweep repairs per admitted
-  // request while instant_restart is draining a restart backlog. Demand
-  // repairs (pages actually touched) always run first and are not counted
-  // against this budget.
-  uint32_t recovery_sweep_batch = 1;
 
   // Hot standby (DESIGN.md section 19): when true, System creates a second
   // server instance as a cold standby, a mastership lease (PaxosLease-style,

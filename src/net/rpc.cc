@@ -54,16 +54,10 @@ void Rpc::PumpGhosts() {
   }
 }
 
-void Rpc::Backoff(uint32_t attempt, bool recovery_plane) {
+void Rpc::Backoff(uint32_t attempt) {
   const NetFaultConfig& cfg = delivery_.config();
   uint64_t delay = cfg.backoff_base_us << (attempt - 1);
   delay = std::min(delay, cfg.backoff_cap_us);
-  if (recovery_plane && cfg.rec_plane_priority > 0) {
-    // Recovery-plane priority: back off a quarter as long so post-restart
-    // repair traffic drains ahead of ordinary retries. Still one jitter draw,
-    // and the knob's 0 default leaves every existing schedule untouched.
-    delay = std::max<uint64_t>(1, delay / 4);
-  }
   delay += delivery_.rng().Uniform(delay / 2 + 1);  // Seeded jitter.
   metrics_->Add(Counter::kNetRpcBackoffUs, delay);
   channel_->clock()->Advance(delay);

@@ -318,7 +318,7 @@ class Rpc {
 
   // Non-template faulty-path helpers (rpc.cc).
   void PumpGhosts();
-  void Backoff(uint32_t attempt, bool recovery_plane);
+  void Backoff(uint32_t attempt);
   void CacheReply(Session* session, uint64_t epoch, uint64_t seq,
                   const RpcReply& reply);
   bool ResendCachedReply(const Session& session, const CallOptions& opts,
@@ -340,18 +340,10 @@ class Rpc {
     RpcReply reply;
     bool complete = false;
     const NetFaultConfig& cfg = delivery_.config();
-    // Recovery-plane calls get extra attempts (and a shortened backoff, see
-    // Backoff) when rec_plane_priority is set: during instant restart the
-    // Rec-plane traffic is what unblocks everything else, so it is worth
-    // prioritizing. With the knob at its 0 default this is byte-identical to
-    // the plain loop.
-    const uint32_t attempts =
-        cfg.max_attempts +
-        (opts.recovery_plane ? cfg.rec_plane_priority : 0);
-    for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
+    for (uint32_t attempt = 0; attempt < cfg.max_attempts; ++attempt) {
       if (attempt > 0) {
         metrics_->Add(Counter::kNetRpcRetries);
-        Backoff(attempt, opts.recovery_plane);
+        Backoff(attempt);
       }
       NetVerdict rv = delivery_.Classify(req_prefix, opts.req_bytes, opts.peer,
                                          opts.recovery_plane);

@@ -422,9 +422,9 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
 
   // The per-endpoint guard: called right after LivenessAdmission by every
   // page-touching endpoint body. Demand-repairs `pid` if it is unrecovered,
-  // then lets the background sweep drain up to recovery_sweep_batch more
-  // pages. Degrades to WouldBlock(kRecoveringPage) when the repair cannot
-  // complete yet (fault point, unreachable dependency, network).
+  // then lets the background sweep drain one more page. Degrades to
+  // WouldBlock(kRecoveringPage) when the repair cannot complete yet (fault
+  // point, unreachable dependency, network).
   Status EnsurePageRecovered(PageId pid) FINELOG_REQUIRES(mu_);
 
   // Dispatches one pending page to RepairPage or (kFailed) SinglePageRepair
@@ -453,8 +453,8 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
   // Picks the next page the sweep should repair; false when none eligible.
   bool PickSweepPage(PageId* out) FINELOG_REQUIRES(mu_);
 
-  // Opportunistically drains up to recovery_sweep_batch pages after an
-  // admitted request; stops at the first degraded repair.
+  // Opportunistically drains one page after an admitted request; a
+  // degraded repair ends the round.
   void MaybeBackgroundSweep() FINELOG_REQUIRES(mu_);
 
   // Repairs up to `max_pages` pending pages in sweep order; returns the

@@ -625,7 +625,7 @@ void Server::MaybeBackgroundSweep() {
   // Opportunistic: a degraded (or deliberately interrupted) repair ends this
   // round -- the page re-queued itself at the front of rec_priority_ -- and
   // hard errors are left for the next demand touch to surface.
-  (void)DrainBacklog(std::max<uint32_t>(1, config_.recovery_sweep_batch));
+  (void)DrainBacklog(1);
 }
 
 Status Server::DrainBacklog(uint32_t max_pages) {

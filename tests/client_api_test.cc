@@ -187,6 +187,41 @@ TEST_F(ClientApiTest, InterleavedLocalTransactionsConflict) {
   ASSERT_TRUE(c.Commit(t2).ok());
 }
 
+// Commit and Abort remove a transaction from the client's table: however
+// many transactions run, the table holds only the open ones.
+TEST_F(ClientApiTest, TxnTableHoldsOnlyOpenTransactions) {
+  Client& c = system_->client(0);
+  const ObjectId held{PageId(7), 0};
+  TxnId open = c.Begin().value();
+  ASSERT_TRUE(c.Write(open, held, Val('o')).ok());
+
+  constexpr int kTxns = 20000;
+  for (int i = 0; i < kTxns; ++i) {
+    TxnId txn = c.Begin().value();
+    ASSERT_EQ(c.active_txns(), 2u) << "txn " << i;
+    SlotId slot = static_cast<SlotId>(i % 8);
+    ASSERT_TRUE(c.Write(txn, ObjectId{PageId(8), slot},
+                        Val(static_cast<char>('a' + i % 26)))
+                    .ok());
+    if (i % 10 == 9) {
+      ASSERT_TRUE(c.Abort(txn).ok()) << "txn " << i;
+    } else {
+      ASSERT_TRUE(c.Commit(txn).ok()) << "txn " << i;
+    }
+    ASSERT_EQ(c.active_txns(), 1u) << "txn " << i;
+  }
+  EXPECT_EQ(c.commits(), static_cast<uint64_t>(kTxns - kTxns / 10));
+  EXPECT_EQ(c.aborts(), static_cast<uint64_t>(kTxns / 10));
+
+  EXPECT_EQ(c.Read(open, held).value(), Val('o'));
+  ASSERT_TRUE(c.Commit(open).ok());
+  EXPECT_EQ(c.active_txns(), 0u);
+  Client& other = system_->client(1);
+  TxnId check = other.Begin().value();
+  EXPECT_EQ(other.Read(check, held).value(), Val('o'));
+  ASSERT_TRUE(other.Commit(check).ok());
+}
+
 TEST_F(ClientApiTest, PageAllocationExhaustion) {
   SystemConfig config = SmallConfig("alloc_exhaust");
   config.num_pages = 18;       // 16 preloaded + 2 free.

