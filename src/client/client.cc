@@ -192,22 +192,8 @@ Status Client::AcquirePageLock(TxnId txn, PageId pid, LockMode mode) {
       Page incoming(config_.page_size);
       incoming.raw() = *reply.value().page_image;
       Psn merged = Psn::Merge(frame->page.psn(), incoming.psn());
-      for (SlotId slot : frame->modified_slots) {
-        if (frame->page.SlotExists(slot)) {
-          auto data = frame->page.ReadObject(slot);
-          if (!data.ok()) return data.status();
-          if (incoming.SlotExists(slot) &&
-              incoming.ObjectSize(slot) == data.value().size()) {
-            FINELOG_RETURN_IF_ERROR(incoming.WriteObject(slot, data.value()));
-          } else if (incoming.SlotExists(slot)) {
-            FINELOG_RETURN_IF_ERROR(incoming.ResizeObject(slot, data.value()));
-          } else {
-            FINELOG_RETURN_IF_ERROR(incoming.CreateObjectAt(slot, data.value()));
-          }
-        } else if (incoming.SlotExists(slot)) {
-          FINELOG_RETURN_IF_ERROR(incoming.DeleteObject(slot));
-        }
-      }
+      FINELOG_RETURN_IF_ERROR(
+          OverlaySlots(&incoming, frame->page, frame->modified_slots));
       incoming.set_psn(merged);
       frame->page = std::move(incoming);
     } else {
@@ -254,6 +240,26 @@ Status Client::LogPendingCallback(TxnId txn, Txn* t, ObjectId oid) {
                                info.psn)));
     metrics_->Add(Counter::kClientCallbackRecords);
   }
+  return Status::OK();
+}
+
+Status Client::LogAndApply(TxnId txn, Txn* t, BufferPool::Frame* frame,
+                           LogRecord rec) {
+  EnsureDptEntry(rec.page);
+  // The paper logs a callback record before the first update of the
+  // called-back object (or of any object, for a whole-page hand-off).
+  FINELOG_RETURN_IF_ERROR(
+      LogPendingCallback(txn, t, ObjectId{rec.page, rec.slot}));
+  FINELOG_RETURN_IF_ERROR(
+      LogPendingCallback(txn, t, ObjectId{rec.page, kInvalidSlotId}));
+  rec.prev_lsn = t->last_lsn;
+  FINELOG_RETURN_IF_ERROR(AppendTxnLog(t, rec));
+  t->dirtied_pages.insert(rec.page);
+
+  FINELOG_RETURN_IF_ERROR(ApplyRedo(&frame->page, rec));
+  frame->page.BumpPsn();
+  TrackModification(frame, rec.page, rec.slot);
+  if (IsStructural(rec.op)) frame->structurally_modified = true;
   return Status::OK();
 }
 
@@ -688,19 +694,11 @@ Status Client::Write(TxnId txn, ObjectId oid, Slice data) {
     return Status::InvalidArgument(
         "Write() requires a same-sized value; use Resize()");
   }
-  EnsureDptEntry(oid.page);
-  FINELOG_RETURN_IF_ERROR(LogPendingCallback(txn, t, oid));
-  FINELOG_RETURN_IF_ERROR(
-      LogPendingCallback(txn, t, ObjectId{oid.page, kInvalidSlotId}));
-  LogRecord rec = LogRecord::Update(txn, t->last_lsn, oid.page, oid.slot,
-                                    UpdateOp::kOverwrite, page.psn(),
-                                    data.ToString(), std::move(old).value());
-  FINELOG_RETURN_IF_ERROR(AppendTxnLog(t, rec));
-  t->dirtied_pages.insert(oid.page);
-
-  FINELOG_RETURN_IF_ERROR(page.WriteObject(oid.slot, data));
-  page.BumpPsn();
-  TrackModification(frame, oid.page, oid.slot);
+  FINELOG_RETURN_IF_ERROR(LogAndApply(
+      txn, t, frame,
+      LogRecord::Update(txn, kNullLsn, oid.page, oid.slot,
+                        UpdateOp::kOverwrite, page.psn(), data.ToString(),
+                        std::move(old).value())));
   metrics_->Add(Counter::kClientWrites);
   return Status::OK();
 }
@@ -762,29 +760,21 @@ Result<ObjectId> Client::Create(TxnId txn, PageId pid, Slice data) {
   FINELOG_ASSIGN_OR_RETURN(BufferPool::Frame * frame, GetCachedPage(pid));
   ScopedPin pin(cache_.get(), pid);
   Page& page = frame->page;
-  Psn before = page.psn();
   // Footnote-3 reservation: create with headroom so later growth can stay
   // in place (and therefore mergeable).
   uint16_t capacity = static_cast<uint16_t>(
       std::min<size_t>(0xFFFF, data.size() * (1.0 + config_.resize_reserve)));
-  auto slot = page.CreateObject(data, capacity);
-  if (!slot.ok()) return slot.status();
-
-  EnsureDptEntry(pid);
-  FINELOG_RETURN_IF_ERROR(
-      LogPendingCallback(txn, t, ObjectId{pid, kInvalidSlotId}));
-  LogRecord rec = LogRecord::Update(txn, t->last_lsn, pid, slot.value(),
-                                    UpdateOp::kCreate, before, data.ToString(),
-                                    std::string());
+  SlotId slot = page.FreeSlot();
+  if (!page.Fits(slot, capacity)) {
+    return Status::FailedPrecondition("page full");
+  }
+  LogRecord rec = LogRecord::Update(txn, kNullLsn, pid, slot,
+                                    UpdateOp::kCreate, page.psn(),
+                                    data.ToString(), std::string());
   rec.capacity = capacity;
-  FINELOG_RETURN_IF_ERROR(AppendTxnLog(t, rec));
-  t->dirtied_pages.insert(pid);
-
-  page.BumpPsn();
-  TrackModification(frame, pid, slot.value());
-  frame->structurally_modified = true;
+  FINELOG_RETURN_IF_ERROR(LogAndApply(txn, t, frame, std::move(rec)));
   metrics_->Add(Counter::kClientCreates);
-  return ObjectId{pid, slot.value()};
+  return ObjectId{pid, slot};
 }
 
 Status Client::Resize(TxnId txn, ObjectId oid, Slice data) {
@@ -808,16 +798,11 @@ Status Client::Resize(TxnId txn, ObjectId oid, Slice data) {
         page.ResizeFitsInPlace(oid.slot, data.size())) {
       auto old = page.ReadObject(oid.slot);
       if (!old.ok()) return old.status();
-      EnsureDptEntry(oid.page);
-      FINELOG_RETURN_IF_ERROR(LogPendingCallback(txn, t, oid));
-      LogRecord rec = LogRecord::Update(
-          txn, t->last_lsn, oid.page, oid.slot, UpdateOp::kResizeInPlace,
-          page.psn(), data.ToString(), std::move(old).value());
-      FINELOG_RETURN_IF_ERROR(AppendTxnLog(t, rec));
-      t->dirtied_pages.insert(oid.page);
-      FINELOG_RETURN_IF_ERROR(page.ResizeObject(oid.slot, data));
-      page.BumpPsn();
-      TrackModification(frame, oid.page, oid.slot);
+      FINELOG_RETURN_IF_ERROR(LogAndApply(
+          txn, t, frame,
+          LogRecord::Update(txn, kNullLsn, oid.page, oid.slot,
+                            UpdateOp::kResizeInPlace, page.psn(),
+                            data.ToString(), std::move(old).value())));
       metrics_->Add(Counter::kClientResizesInPlace);
       return Status::OK();
     }
@@ -830,21 +815,14 @@ Status Client::Resize(TxnId txn, ObjectId oid, Slice data) {
   Page& page = frame->page;
   auto old = page.ReadObject(oid.slot);
   if (!old.ok()) return old.status();
-
-  EnsureDptEntry(oid.page);
-  FINELOG_RETURN_IF_ERROR(LogPendingCallback(txn, t, oid));
-  FINELOG_RETURN_IF_ERROR(
-      LogPendingCallback(txn, t, ObjectId{oid.page, kInvalidSlotId}));
-  LogRecord rec = LogRecord::Update(txn, t->last_lsn, oid.page, oid.slot,
-                                    UpdateOp::kResize, page.psn(),
-                                    data.ToString(), std::move(old).value());
-  FINELOG_RETURN_IF_ERROR(AppendTxnLog(t, rec));
-  t->dirtied_pages.insert(oid.page);
-
-  FINELOG_RETURN_IF_ERROR(page.ResizeObject(oid.slot, data));
-  page.BumpPsn();
-  TrackModification(frame, oid.page, oid.slot);
-  frame->structurally_modified = true;
+  if (!page.Fits(oid.slot, data.size())) {
+    return Status::FailedPrecondition("page full");
+  }
+  FINELOG_RETURN_IF_ERROR(LogAndApply(
+      txn, t, frame,
+      LogRecord::Update(txn, kNullLsn, oid.page, oid.slot, UpdateOp::kResize,
+                        page.psn(), data.ToString(),
+                        std::move(old).value())));
   metrics_->Add(Counter::kClientResizes);
   return Status::OK();
 }
@@ -861,21 +839,10 @@ Status Client::Delete(TxnId txn, ObjectId oid) {
   Page& page = frame->page;
   auto old = page.ReadObject(oid.slot);
   if (!old.ok()) return old.status();
-
-  EnsureDptEntry(oid.page);
-  FINELOG_RETURN_IF_ERROR(LogPendingCallback(txn, t, oid));
-  FINELOG_RETURN_IF_ERROR(
-      LogPendingCallback(txn, t, ObjectId{oid.page, kInvalidSlotId}));
-  LogRecord rec = LogRecord::Update(txn, t->last_lsn, oid.page, oid.slot,
-                                    UpdateOp::kDelete, page.psn(), std::string(),
-                                    std::move(old).value());
-  FINELOG_RETURN_IF_ERROR(AppendTxnLog(t, rec));
-  t->dirtied_pages.insert(oid.page);
-
-  FINELOG_RETURN_IF_ERROR(page.DeleteObject(oid.slot));
-  page.BumpPsn();
-  TrackModification(frame, oid.page, oid.slot);
-  frame->structurally_modified = true;
+  FINELOG_RETURN_IF_ERROR(LogAndApply(
+      txn, t, frame,
+      LogRecord::Update(txn, kNullLsn, oid.page, oid.slot, UpdateOp::kDelete,
+                        page.psn(), std::string(), std::move(old).value())));
   metrics_->Add(Counter::kClientDeletes);
   return Status::OK();
 }
@@ -967,8 +934,12 @@ Status Client::Commit(TxnId txn_id) {
     }
   }
 
+  // Like Abort's, the end record bypasses the capacity check: the
+  // Section 3.6 protocol run here would checkpoint this transaction as
+  // still open, after its commit record.
   LogRecord end = LogRecord::Control(LogRecordType::kTxnEnd, txn_id, t->last_lsn);
-  FINELOG_RETURN_IF_ERROR(AppendLog(end).status());
+  FINELOG_RETURN_IF_ERROR(
+      log_->Append(end, /*enforce_capacity=*/false).status());
 
   txns_.erase(txn_id);
   llm_.OnTxnEnd(txn_id);  // Locks stay cached (inter-transaction caching).
@@ -978,55 +949,12 @@ Status Client::Commit(TxnId txn_id) {
   return Status::OK();
 }
 
-FINELOG_REPLAY_PATH("redo arm of recovery/rollback: the record being "
-                    "applied IS the log")
 Status Client::ApplyRedo(Page* page, const LogRecord& rec) {
-  switch (rec.op) {
-    case UpdateOp::kOverwrite:
-      if (!page->SlotExists(rec.slot) ||
-          page->ObjectSize(rec.slot) != rec.redo.size()) {
-        // Defensive: the slot should exist with the right size; recreate.
-        if (page->SlotExists(rec.slot)) {
-          return page->ResizeObject(rec.slot, rec.redo);
-        }
-        return page->CreateObjectAt(rec.slot, rec.redo);
-      }
-      return page->WriteObject(rec.slot, rec.redo);
-    case UpdateOp::kCreate:
-      if (page->SlotExists(rec.slot)) {
-        return page->ResizeObject(rec.slot, rec.redo);
-      }
-      return page->CreateObjectAt(rec.slot, rec.redo, rec.capacity);
-    case UpdateOp::kResize:
-    case UpdateOp::kResizeInPlace:
-      if (!page->SlotExists(rec.slot)) {
-        return page->CreateObjectAt(rec.slot, rec.redo);
-      }
-      return page->ResizeObject(rec.slot, rec.redo);
-    case UpdateOp::kDelete:
-      if (page->SlotExists(rec.slot)) {
-        return page->DeleteObject(rec.slot);
-      }
-      return Status::OK();
+  if (rec.op != UpdateOp::kDelete) {
+    return ForceSlotValue(page, rec.slot, rec.redo, rec.capacity);
   }
-  return Status::Internal("unknown update op");
-}
-
-FINELOG_REPLAY_PATH("undo arm of recovery/rollback: callers write the "
-                    "covering CLRs")
-Status Client::ApplyUndo(Page* page, const LogRecord& rec) {
-  switch (rec.op) {
-    case UpdateOp::kOverwrite:
-      return page->WriteObject(rec.slot, rec.undo);
-    case UpdateOp::kCreate:
-      return page->DeleteObject(rec.slot);
-    case UpdateOp::kResize:
-    case UpdateOp::kResizeInPlace:
-      return page->ResizeObject(rec.slot, rec.undo);
-    case UpdateOp::kDelete:
-      return page->CreateObjectAt(rec.slot, rec.undo);
-  }
-  return Status::Internal("unknown update op");
+  if (page->SlotExists(rec.slot)) return page->DeleteObject(rec.slot);
+  return Status::OK();
 }
 
 Status Client::RollbackTo(TxnId txn_id, Txn* txn, Lsn stop_lsn) {
@@ -1065,13 +993,10 @@ Status Client::RollbackTo(TxnId txn_id, Txn* txn, Lsn stop_lsn) {
     Lsn clr_lsn = clr_lsn_or.value();
     txn->last_lsn = clr_lsn;
 
-    FINELOG_RETURN_IF_ERROR(ApplyUndo(&page, rec));
+    FINELOG_RETURN_IF_ERROR(ApplyRedo(&page, clr));
     page.BumpPsn();
     TrackModification(frame, rec.page, rec.slot);
-    if (rec.op != UpdateOp::kOverwrite &&
-        rec.op != UpdateOp::kResizeInPlace) {
-      frame->structurally_modified = true;
-    }
+    if (IsStructural(clr.op)) frame->structurally_modified = true;
     metrics_->Add(Counter::kClientUndos);
     cur = rec.prev_lsn;
   }

@@ -304,10 +304,17 @@ class FINELOG_SHARED_STATE_CLASS Client : public ClientEndpoint {
   // heartbeat knob off.
   Status MaybeHeartbeat() FINELOG_REQUIRES(mu_);
 
-  // Applies one logged operation (redo direction) to a page.
-  static Status ApplyRedo(Page* page, const LogRecord& rec);
-  // Applies the inverse of an update record (undo direction).
-  static Status ApplyUndo(Page* page, const LogRecord& rec);
+  // Applies one logged operation (redo direction) to a page. The only way a
+  // transaction's change reaches a page: at first execution, as a CLR at
+  // rollback, and at crash redo.
+  static FINELOG_MUTATES_PAGE Status ApplyRedo(Page* page,
+                                               const LogRecord& rec);
+
+  // Logs `rec`, an update of `t`, and applies it to `frame`'s page (WAL):
+  // the pending callback records for its object and page go first, and the
+  // record is chained onto the transaction.
+  Status LogAndApply(TxnId txn, Txn* t, BufferPool::Frame* frame,
+                     LogRecord rec) FINELOG_REQUIRES(mu_);
 
   // Rolls `txn` back to `stop_lsn` (kNullLsn = total rollback), writing CLRs.
   Status RollbackTo(TxnId txn_id, Txn* txn, Lsn stop_lsn)

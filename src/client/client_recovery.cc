@@ -136,11 +136,10 @@ Result<Client::AnalysisResult> Client::RunAnalysis() {
     ObjectId oid{rec.page, rec.slot};
     Psn& mp = out.max_psn[oid];
     mp = std::max(mp, rec.psn);
-    if (rec.op == UpdateOp::kOverwrite ||
-        rec.op == UpdateOp::kResizeInPlace) {
-      x_objects.insert(oid);
-    } else {
+    if (IsStructural(rec.op)) {
       x_pages.insert(rec.page);
+    } else {
+      x_objects.insert(oid);
     }
     return Status::OK();
   });
@@ -150,6 +149,7 @@ Result<Client::AnalysisResult> Client::RunAnalysis() {
   return out;
 }
 
+FINELOG_REPLAY_PATH("crash redo: the record being applied IS the log")
 Status Client::RunRedo(const AnalysisResult& analysis,
                        const std::map<PageId, Psn>& dct_psn,
                        bool dct_authoritative,
@@ -214,14 +214,11 @@ Status Client::RunRedo(const AnalysisResult& analysis,
     // After a complex crash the re-installed lock set is approximate, so
     // correctness rests on the PSN baseline plus the CallBack_P suppression
     // below; the lock filter applies only when the GLM survived.
-    bool covered;
-    if (rec.op == UpdateOp::kOverwrite ||
-        rec.op == UpdateOp::kResizeInPlace) {
-      covered = llm_.CoversObject(ObjectId{rec.page, rec.slot},
-                                  LockMode::kExclusive);
-    } else {
-      covered = llm_.CoversPage(rec.page, LockMode::kExclusive);
-    }
+    bool covered =
+        IsStructural(rec.op)
+            ? llm_.CoversPage(rec.page, LockMode::kExclusive)
+            : llm_.CoversObject(ObjectId{rec.page, rec.slot},
+                                LockMode::kExclusive);
     if (!dct_authoritative) covered = true;
     if (!covered) return Status::OK();
     if (rec.psn < page.psn()) return Status::OK();  // Already reflected.
@@ -240,10 +237,7 @@ Status Client::RunRedo(const AnalysisResult& analysis,
     FINELOG_RETURN_IF_ERROR(ApplyRedo(&page, rec));
     page.set_psn(rec.psn.Next());
     TrackModification(frame, rec.page, rec.slot);
-    if (rec.op != UpdateOp::kOverwrite &&
-        rec.op != UpdateOp::kResizeInPlace) {
-      frame->structurally_modified = true;
-    }
+    if (IsStructural(rec.op)) frame->structurally_modified = true;
     metrics_->Add(Counter::kClientRedos);
     return Status::OK();
   });
@@ -532,6 +526,8 @@ Result<std::vector<CallbackListEntry>> Client::HandleRecScanCallbacks(
   return out;
 }
 
+FINELOG_REPLAY_PATH("server-crash replay of this client's own log records "
+                    "for one page (Section 3.4)")
 Status Client::HandleRecRecoverPage(
     PageId pid, const std::vector<CallbackListEntry>& callback_list,
     const std::string& base_image, Psn base_psn, Psn psn_limit) {

@@ -60,6 +60,12 @@ enum class UpdateOp : uint8_t {
   kResizeInPlace = 5,
 };
 
+// True for the ops that change page structure (everything but the two
+// mergeable ones); they need a page-level exclusive lock.
+inline bool IsStructural(UpdateOp op) {
+  return op != UpdateOp::kOverwrite && op != UpdateOp::kResizeInPlace;
+}
+
 // An entry of a client's dirty page table (DPT), Section 3.2.
 struct DptEntry {
   PageId page = kInvalidPageId;

@@ -4,14 +4,8 @@
 
 namespace finelog {
 
-namespace {
-
-// Writes `data` into `slot` of `page` regardless of current size/liveness,
-// preserving at least `capacity` bytes of reservation.
-FINELOG_REPLAY_PATH("installs an already-logged image: size-adapting "
-                    "slot overwrite used by merge and recovery install")
 Status ForceSlotValue(Page* page, SlotId slot, const std::string& data,
-                      uint16_t capacity = 0) {
+                      uint16_t capacity) {
   if (page->SlotExists(slot)) {
     if (page->ObjectSize(slot) == data.size()) {
       return page->WriteObject(slot, data);
@@ -20,8 +14,6 @@ Status ForceSlotValue(Page* page, SlotId slot, const std::string& data,
   }
   return page->CreateObjectAt(slot, data, capacity);
 }
-
-}  // namespace
 
 FINELOG_REPLAY_PATH("merges a shipped copy whose updates the shipping "
                     "client already logged (WAL held at its ship/force)")
@@ -36,16 +28,7 @@ Status MergeShippedPage(Page* local, const ShippedPage& incoming) {
     // The sender held a page-level X lock: its image is authoritative.
     local->raw() = incoming.image;
   } else {
-    for (SlotId slot : incoming.modified_slots) {
-      if (in.SlotExists(slot)) {
-        auto data = in.ReadObject(slot);
-        if (!data.ok()) return data.status();
-        FINELOG_RETURN_IF_ERROR(ForceSlotValue(local, slot, data.value(),
-                                               in.ObjectCapacity(slot)));
-      } else if (local->SlotExists(slot)) {
-        FINELOG_RETURN_IF_ERROR(local->DeleteObject(slot));
-      }
-    }
+    FINELOG_RETURN_IF_ERROR(OverlaySlots(local, in, incoming.modified_slots));
   }
   local->set_psn(merged_psn);
   return Status::OK();

@@ -17,11 +17,37 @@
 #include <optional>
 #include <string>
 
+#include "common/annotations.h"
 #include "common/status.h"
 #include "net/endpoints.h"
 #include "storage/page.h"
 
 namespace finelog {
+
+// Writes `data` into `slot` of `page` regardless of current size/liveness,
+// preserving at least `capacity` bytes of reservation. The one slot-write
+// primitive behind merge, install and every logged client change.
+FINELOG_MUTATES_PAGE Status ForceSlotValue(Page* page, SlotId slot,
+                                           const std::string& data,
+                                           uint16_t capacity = 0);
+
+// Copies each of `slots` from `source` onto `local`: the source's value
+// (with its reservation), or its absence. The PSN is left to the caller.
+template <typename Slots>
+FINELOG_MUTATES_PAGE Status OverlaySlots(Page* local, const Page& source,
+                                         const Slots& slots) {
+  for (SlotId slot : slots) {
+    if (source.SlotExists(slot)) {
+      auto data = source.ReadObject(slot);
+      if (!data.ok()) return data.status();
+      FINELOG_RETURN_IF_ERROR(ForceSlotValue(local, slot, data.value(),
+                                             source.ObjectCapacity(slot)));
+    } else if (local->SlotExists(slot)) {
+      FINELOG_RETURN_IF_ERROR(local->DeleteObject(slot));
+    }
+  }
+  return Status::OK();
+}
 
 // Merges `incoming` into `local`. `local` must be a copy of the same page.
 Status MergeShippedPage(Page* local, const ShippedPage& incoming);

@@ -80,6 +80,23 @@ bool Page::ResizeFitsInPlace(SlotId slot, size_t new_size) const {
   return SlotExists(slot) && new_size <= SlotCapacity(slot);
 }
 
+SlotId Page::FreeSlot() const {
+  for (SlotId s = 0; s < slot_count(); ++s) {
+    if (SlotOffset(s) == 0) return s;
+  }
+  return slot_count();
+}
+
+bool Page::Fits(SlotId slot, size_t capacity) const {
+  size_t used = 0;
+  for (SlotId s = 0; s < slot_count(); ++s) {
+    if (s != slot && SlotOffset(s) != 0) used += SlotCapacity(s);
+  }
+  size_t dir_end = kHeaderSize + std::max<size_t>(slot_count(), slot + 1) *
+                                     kSlotEntrySize;
+  return dir_end + used + capacity <= buf_.size();
+}
+
 std::vector<SlotId> Page::LiveSlots() const {
   std::vector<SlotId> out;
   for (SlotId s = 0; s < slot_count(); ++s) {
@@ -125,7 +142,8 @@ uint16_t Page::AllocateData(uint16_t len, SlotId for_slot) {
                                      kSlotEntrySize;
   if (data_start() < dir_end + len) {
     Compact();
-    if (data_start() < dir_end + len) return 0;
+    FINELOG_CHECK(data_start() >= dir_end + len,
+                  "page allocation without a passing Fits check");
   }
   uint16_t pos = static_cast<uint16_t>(data_start() - len);
   set_data_start(pos);
@@ -136,14 +154,7 @@ Result<SlotId> Page::CreateObject(Slice data, uint16_t capacity) {
   if (data.size() > 0xFFFF) {
     return Status::InvalidArgument("object larger than 64KB");
   }
-  // Reuse a free slot if possible.
-  SlotId slot = slot_count();
-  for (SlotId s = 0; s < slot_count(); ++s) {
-    if (SlotOffset(s) == 0) {
-      slot = s;
-      break;
-    }
-  }
+  SlotId slot = FreeSlot();
   Status st = CreateObjectAt(slot, data, capacity);
   if (!st.ok()) return st;
   return slot;
@@ -154,14 +165,11 @@ Status Page::CreateObjectAt(SlotId slot, Slice data, uint16_t capacity) {
     return Status::FailedPrecondition("slot already occupied");
   }
   if (capacity < data.size()) capacity = static_cast<uint16_t>(data.size());
+  if (!Fits(slot, capacity)) return Status::FailedPrecondition("page full");
   uint16_t pos = AllocateData(capacity, slot);
-  if (pos == 0 && capacity > 0) {
-    return Status::FailedPrecondition("page full");
-  }
   if (capacity == 0) {
     // Zero-length objects get a sentinel non-zero offset at data_start.
     pos = data_start();
-    if (pos == 0) return Status::FailedPrecondition("page full");
   } else {
     FINELOG_CHECK(pos + capacity <= buf_.size(), "object allocation out of bounds");
     std::memset(buf_.data() + pos, 0, capacity);
@@ -212,12 +220,11 @@ Status Page::ResizeObject(SlotId slot, Slice data) {
     SetSlot(slot, off, static_cast<uint16_t>(data.size()), capacity);
     return Status::OK();
   }
-  // Grow past capacity: free the slot, then reallocate (structural).
+  // Grow past capacity: free the slot, then reallocate (structural). A
+  // grow that cannot fit leaves the object as it was.
+  if (!Fits(slot, data.size())) return Status::FailedPrecondition("page full");
   SetSlot(slot, 0, 0, 0);
   uint16_t pos = AllocateData(static_cast<uint16_t>(data.size()), slot);
-  if (pos == 0) {
-    return Status::FailedPrecondition("page full");
-  }
   FINELOG_CHECK(pos + data.size() <= buf_.size(), "object resize out of bounds");
   std::memcpy(buf_.data() + pos, data.data(), data.size());
   SetSlot(slot, pos, static_cast<uint16_t>(data.size()),

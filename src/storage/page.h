@@ -97,6 +97,14 @@ class Page {
   // capacity (in-place, mergeable).
   bool ResizeFitsInPlace(SlotId slot, size_t new_size) const;
 
+  // The slot CreateObject would use: the first free one, else a new one.
+  SlotId FreeSlot() const;
+
+  // True if `slot` can hold `capacity` bytes once its current object (if
+  // any) is freed: the space rule of CreateObjectAt and ResizeObject,
+  // counting what compaction would reclaim and any directory growth.
+  bool Fits(SlotId slot, size_t capacity) const;
+
   // Deletes an object, freeing its slot (non-mergeable).
   FINELOG_MUTATES_PAGE Status DeleteObject(SlotId slot);
 
@@ -133,8 +141,8 @@ class Page {
   // Rewrites the data region to squeeze out holes left by deletes/resizes.
   void Compact();
 
-  // Allocates `len` bytes in the data region, compacting if needed.
-  // Returns 0 if there is no room even after compaction.
+  // Allocates `len` bytes in the data region, compacting if needed. The
+  // caller has checked Fits(for_slot, len).
   uint16_t AllocateData(uint16_t len, SlotId for_slot);
 
   uint16_t GetU16(size_t off) const;

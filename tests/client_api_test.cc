@@ -222,6 +222,29 @@ TEST_F(ClientApiTest, TxnTableHoldsOnlyOpenTransactions) {
   ASSERT_TRUE(other.Commit(check).ok());
 }
 
+// A structural grow that cannot fit the page is refused before anything is
+// logged, so there is nothing for Abort or restart recovery to trip over.
+TEST_F(ClientApiTest, ResizePastPageSpaceFailsBeforeLogging) {
+  Client& c = system_->client(0);
+  const ObjectId oid{PageId(1), 3};
+  TxnId txn = c.Begin().value();
+  std::string old_value = c.Read(txn, oid).value();
+  Lsn end_before = c.log().end_lsn();
+  EXPECT_EQ(c.Resize(txn, oid, std::string(1900, 'g')).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(c.log().end_lsn(), end_before);
+  ASSERT_TRUE(c.Abort(txn).ok());
+
+  TxnId check = c.Begin().value();
+  EXPECT_EQ(c.Read(check, oid).value(), old_value);
+  ASSERT_TRUE(c.Commit(check).ok());
+  ASSERT_TRUE(system_->CrashClient(0).ok());
+  ASSERT_TRUE(system_->RecoverClient(0).ok());
+  TxnId after = c.Begin().value();
+  EXPECT_EQ(c.Read(after, oid).value(), old_value);
+  ASSERT_TRUE(c.Commit(after).ok());
+}
+
 TEST_F(ClientApiTest, PageAllocationExhaustion) {
   SystemConfig config = SmallConfig("alloc_exhaust");
   config.num_pages = 18;       // 16 preloaded + 2 free.

@@ -115,5 +115,50 @@ TEST_F(LogSpaceTest, RecoveryAfterLogSpaceReuse) {
   ASSERT_TRUE(c1.Commit(txn).ok());
 }
 
+// Commit's end record must not run the Section 3.6 protocol: its
+// checkpoint would list the committing transaction as open after its commit
+// record, so a crash before the end record is forced would undo a forced
+// commit. A checkpoint taken earlier in the transaction (by its own Write)
+// lists it too, but analysis from there still meets the commit record.
+TEST_F(LogSpaceTest, CommitIsNeverCheckpointedAsOpen) {
+  Start(8192, "ls_commit_ckpt");
+  for (int i = 0; i < 200; ++i) {
+    Client& c0 = system_->client(0);
+    TxnId txn = c0.Begin().value();
+    ObjectId oid{static_cast<PageId>(i % 8), static_cast<SlotId>(i % 4)};
+    std::string value = Val('a' + (i % 26));
+    ASSERT_TRUE(c0.Write(txn, oid, value).ok()) << "txn " << i;
+    Lsn ckpt_before = c0.log().checkpoint_lsn();
+    ASSERT_TRUE(c0.Commit(txn).ok()) << "txn " << i;
+    Lsn ckpt = c0.log().checkpoint_lsn();
+    if (ckpt != kNullLsn) {
+      bool listed = false;
+      bool commit_after = false;
+      ASSERT_TRUE(c0.log()
+                      .Scan(ckpt,
+                            [&](const LogRecord& rec) {
+                              if (rec.lsn == ckpt) {
+                                for (const auto& info : rec.active_txns) {
+                                  listed |= info.txn == txn;
+                                }
+                              } else if (rec.type == LogRecordType::kCommit &&
+                                         rec.txn == txn) {
+                                commit_after = true;
+                              }
+                              return Status::OK();
+                            })
+                      .ok());
+      ASSERT_TRUE(!listed || commit_after) << "txn " << i;
+    }
+    if (ckpt != ckpt_before) {
+      ASSERT_TRUE(system_->CrashClient(0).ok());
+      ASSERT_TRUE(system_->RecoverClient(0).ok()) << "txn " << i;
+      TxnId check = c0.Begin().value();
+      EXPECT_EQ(c0.Read(check, oid).value(), value) << "txn " << i;
+      ASSERT_TRUE(c0.Commit(check).ok());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace finelog

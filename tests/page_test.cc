@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
+#include <vector>
 
 namespace finelog {
 namespace {
@@ -155,6 +157,61 @@ TEST_F(PageTest, FreeSpaceDecreasesWithAllocations) {
   size_t before = page_.FreeSpace();
   ASSERT_TRUE(page_.CreateObject(std::string(100, 'a')).ok());
   EXPECT_LT(page_.FreeSpace(), before);
+}
+
+TEST_F(PageTest, GrowThatDoesNotFitKeepsObject) {
+  auto slot = page_.CreateObject("keep me");
+  ASSERT_TRUE(slot.ok());
+  ASSERT_TRUE(page_.CreateObject(std::string(600, 'f')).ok());
+  std::string before = page_.raw();
+  EXPECT_FALSE(page_.Fits(slot.value(), 500));
+  EXPECT_EQ(page_.ResizeObject(slot.value(), std::string(500, 'g')).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(page_.ReadObject(slot.value()).value(), "keep me");
+  EXPECT_EQ(page_.raw(), before);
+}
+
+// Fits(slot, n) is exactly the space rule of CreateObjectAt and
+// ResizeObject: over random create / delete / resize sequences it predicts
+// whether the operation, run on a copy, succeeds, and a refused operation
+// leaves the copy untouched.
+TEST_F(PageTest, FitsPredictsCreateAndResize) {
+  for (uint32_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937 rng(seed);
+    auto uniform = [&](uint32_t n) { return rng() % n; };
+    Page page(1024);
+    page.Format(PageId(1), Psn(1));
+    for (int step = 0; step < 400; ++step) {
+      std::vector<SlotId> live = page.LiveSlots();
+      uint32_t kind = uniform(3);
+      if (kind == 1 && !live.empty()) {
+        ASSERT_TRUE(page.DeleteObject(live[uniform(live.size())]).ok());
+        continue;
+      }
+      std::string data(uniform(300), static_cast<char>('a' + step % 26));
+      Page copy = page;
+      bool fits;
+      Status st;
+      if (kind == 2 && !live.empty()) {
+        SlotId slot = live[uniform(live.size())];
+        fits = page.Fits(slot, data.size());
+        st = copy.ResizeObject(slot, data);
+      } else {
+        SlotId slot = page.FreeSlot();
+        uint16_t capacity = static_cast<uint16_t>(data.size() + uniform(64));
+        fits = page.Fits(slot, capacity);
+        st = copy.CreateObjectAt(slot, data, capacity);
+      }
+      ASSERT_EQ(fits, st.ok()) << "step " << step << ": " << st.ToString();
+      if (st.ok()) {
+        page = std::move(copy);
+      } else {
+        EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+        EXPECT_EQ(copy.raw(), page.raw()) << "step " << step;
+      }
+    }
+  }
 }
 
 }  // namespace

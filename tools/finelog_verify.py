@@ -1067,6 +1067,7 @@ def run_rules(program, strict=True):
 # isolation with the tree-level strictness checks off.
 FIXTURES = {
     "bad_unlogged_mutate.cc": "wal-before-mutate",
+    "bad_unlogged_apply.cc": "wal-before-mutate",
     "bad_missing_admission.cc": "admission-before-state",
     "bad_missing_mastership.cc": "mastership-fence",
     "bad_missing_recovery_guard.cc": "recovery-guard",
