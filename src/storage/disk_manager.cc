@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <memory>
@@ -79,6 +80,12 @@ Status DiskManager::ReadPage(PageId pid, Page* out) {
     return Status::IoError("short read for page " + ToString(pid));
   }
   if (!out->VerifyChecksum()) {
+    // A never-written page below EOF (a later page was written first) is a
+    // zero-filled gap, not damage; a torn or bit-flipped page is not all zero.
+    const std::string& raw = out->raw();
+    if (std::all_of(raw.begin(), raw.end(), [](char c) { return c == 0; })) {
+      return Status::NotFound("page " + ToString(pid) + " never written");
+    }
     return Status::Corruption("checksum mismatch on page " + ToString(pid));
   }
   return Status::OK();

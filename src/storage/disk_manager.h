@@ -56,9 +56,9 @@ class DiskManager {
                                                    uint32_t page_size,
                                                    const DiskIoOptions& io = {});
 
-  // Reads page `pid` into `out`. Verifies the checksum; a never-written page
-  // region reads back as zeroes and fails verification, which callers treat
-  // as "page not yet on disk".
+  // Reads page `pid` into `out` and verifies its checksum. A page that was
+  // never written -- past EOF, or a zero-filled gap below it -- is NotFound;
+  // any other checksum failure (a torn or bit-flipped page) is Corruption.
   Status ReadPage(PageId pid, Page* out);
 
   // Writes `page` in place through the doublewrite journal. Computes the
@@ -66,7 +66,8 @@ class DiskManager {
   // simulated server crash.
   Status WritePage(PageId pid, Page* page);
 
-  // True if `pid` has ever been written.
+  // True if `pid` lies below the file's end. It may be a never-written
+  // zero gap; ReadPage tells the two apart.
   bool PageOnDisk(PageId pid) const;
 
   uint32_t page_size() const { return page_size_; }

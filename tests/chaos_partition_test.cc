@@ -27,18 +27,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "core/oracle.h"
-#include "core/system.h"
-#include "core/workload.h"
-#include "tests/test_util.h"
+#include "tests/scenario.h"
 #include "util/metrics.h"
 
 namespace finelog {
@@ -46,17 +38,9 @@ namespace {
 
 constexpr size_t kPartitionedClient = 2;
 
-SystemConfig PartitionConfig(const std::string& dir, uint64_t net_seed) {
-  SystemConfig config;
-  config.dir = dir;
-  config.num_clients = 3;
-  config.page_size = 2048;
-  config.num_pages = 64;
-  config.preloaded_pages = 16;
-  config.objects_per_page = 8;
-  config.object_size = 64;
-  config.client_cache_pages = 4;
-  config.server_cache_pages = 8;
+SystemConfig PartitionConfig(uint64_t net_seed) {
+  SystemConfig config =
+      SmallCacheConfig("partition_" + std::to_string(net_seed));
   config.net_faults.seed = net_seed;
   config.heartbeat_interval_us = 2000;
   // Sized per the config.h guidance: one fully-burned RPC against the
@@ -69,172 +53,107 @@ SystemConfig PartitionConfig(const std::string& dir, uint64_t net_seed) {
   return config;
 }
 
-WorkloadOptions PartitionOptions(uint64_t net_seed) {
-  WorkloadOptions options;
-  options.txns_per_client = 12;
-  options.ops_per_txn = 4;
-  options.write_fraction = 0.7;
-  options.pattern = AccessPattern::kPrivate;
-  options.seed = 4242 + net_seed;
-  return options;
-}
-
-void AppendSummary(const std::string& line) {
-  std::printf("[partition] %s\n", line.c_str());
-  const char* path = std::getenv("FINELOG_LIVENESS_SUMMARY");
-  if (path == nullptr || path[0] == '\0') return;
-  std::ofstream out(path, std::ios::app);
-  out << line << '\n';
-}
-
-// One full round of the driver: every non-sidelined client takes one step.
-Result<bool> RunRound(Workload* workload) { return workload->RunSteps(3); }
+constexpr char kSummaryEnv[] = "FINELOG_LIVENESS_SUMMARY";
 
 // One cell of the sweep. Returns an empty string on success, a description
-// of the first divergence otherwise. Out-params feed the summary line.
+// of the first divergence otherwise. Out-params feed the summary line. One
+// driver round is one step of every client: RunSteps(3).
 std::string RunPartitionCell(uint64_t net_seed, uint64_t* commits,
                              uint64_t* declare_wait_us, uint64_t* fences) {
-  SystemConfig config = PartitionConfig(
-      MakeTempDir("partition_" + std::to_string(net_seed)), net_seed);
-  auto sys_or = System::Create(config);
-  if (!sys_or.ok()) return "create: " + sys_or.status().ToString();
-  auto system = std::move(sys_or).value();
-  Metrics& m = system->metrics();
+  WorkloadOptions options = SeededWorkload(12, 4242 + net_seed);
+  options.pattern = AccessPattern::kPrivate;
+  ScenarioRun<> run(PartitionConfig(net_seed), options);
+  System& system = run.system();
+  Metrics& m = system.metrics();
   const ClientId dead_id(static_cast<uint32_t>(kPartitionedClient));
-
-  Oracle oracle;
-  Workload workload(system.get(), &oracle, PartitionOptions(net_seed));
 
   // Warm up on a healthy wire: every client heartbeats (first request) and
   // makes some progress; flush so the durable-PSN baseline is non-trivial.
-  if (auto done = workload.RunSteps(30); !done.ok()) {
-    return "warmup: " + done.status().ToString();
-  }
-  if (Status st = system->FlushEverything(); !st.ok()) {
-    return "warmup flush: " + st.ToString();
-  }
-  std::vector<uint64_t> before = ReadDurablePsns(config);
+  run.Steps(30, "warmup");
+  run.Flush("warmup flush");
+  run.SnapshotPsns();
 
   // Drop both legs of one client, mid-workload.
   NetFaultConfig partitioned;
   partitioned.seed = net_seed;
   partitioned.partitioned_clients = {
       static_cast<uint32_t>(kPartitionedClient)};
-  system->rpc().faults() = partitioned;
-  const uint64_t t_partition = system->clock().now_us();
+  system.rpc().faults() = partitioned;
+  const uint64_t t_partition = system.clock().now_us();
 
   // Keep driving rounds until the server declares the silent client
   // presumed dead. Each round the partitioned client burns its retry
   // budget (advancing the clock), self-fences, and is sidelined; the
   // survivors' admitted requests renew their own leases and run the
-  // expiry check.
+  // expiry check. A workload that drains before the declaration fails.
   bool declared = false;
-  for (int round = 0; round < 64; ++round) {
-    auto done = RunRound(&workload);
-    if (!done.ok()) return "partition round: " + done.status().ToString();
-    if (system->server().IsPresumedDead(dead_id)) {
-      declared = true;
-      break;
-    }
-    if (done.value()) break;  // Workload drained before declaration: fail.
+  for (int round = 0; round < 64 && !declared; ++round) {
+    bool done = run.Steps(3, "partition round");
+    declared = system.server().IsPresumedDead(dead_id);
+    if (done) break;
   }
-  if (!declared) return "lease never expired";
-  const uint64_t t_declared = system->clock().now_us();
+  if (!run.Check(declared, "lease never expired")) return run.failure();
+  const uint64_t t_declared = system.clock().now_us();
   *declare_wait_us = t_declared - t_partition;
-  if (system->server().IsPresumedDead(ClientId(0)) ||
-      system->server().IsPresumedDead(ClientId(1))) {
-    return "survivor lease cascaded into presumed-dead";
-  }
-  if (m.Get(Counter::kLivenessPresumedDead) != 1) {
-    return "expected exactly one declaration, got " +
-           std::to_string(m.Get(Counter::kLivenessPresumedDead));
-  }
+  run.Check(!system.server().IsPresumedDead(ClientId(0)) &&
+                !system.server().IsPresumedDead(ClientId(1)),
+            "survivor lease cascaded into presumed-dead");
+  run.Check(m.Get(Counter::kLivenessPresumedDead) == 1,
+            "expected exactly one declaration, got " +
+                std::to_string(m.Get(Counter::kLivenessPresumedDead)));
 
   // Survivors must resume committing within bounded simulated time.
-  const uint64_t commits_at_decl = workload.stats().commits;
+  const uint64_t commits_at_decl = run.stats().commits;
   for (int round = 0; round < 200; ++round) {
-    if (workload.stats().commits > commits_at_decl) break;
-    auto done = RunRound(&workload);
-    if (!done.ok()) return "resume round: " + done.status().ToString();
-    if (done.value()) break;
+    if (run.stats().commits > commits_at_decl) break;
+    if (run.Steps(3, "resume round")) break;
   }
-  if (workload.stats().commits <= commits_at_decl) {
-    return "survivors never committed after the declaration";
-  }
-  if (system->clock().now_us() - t_declared > 10000000) {
-    return "first survivor commit took unbounded sim time";
-  }
+  run.Check(run.stats().commits > commits_at_decl,
+            "survivors never committed after the declaration");
+  run.Check(system.clock().now_us() - t_declared <= 10000000,
+            "first survivor commit took unbounded sim time");
 
   // Drain the survivors' quota with the partition still up.
   bool complete = false;
   for (int i = 0; i < 100 && !complete; ++i) {
-    auto done = workload.RunSteps(500);
-    if (!done.ok()) return "drain: " + done.status().ToString();
-    complete = done.value();
+    complete = run.Steps(500, "drain");
   }
-  if (!complete) return "survivors never finished their quota";
-  if (workload.stats().zombie_fences == 0) {
-    return "partitioned client was never fenced/sidelined";
-  }
+  run.Check(complete, "survivors never finished their quota");
+  run.Check(run.stats().zombie_fences > 0,
+            "partitioned client was never fenced/sidelined");
+  if (!run.ok()) return run.failure();
 
   // Still partitioned: the zombie self-fences on its locally-expired lease.
-  auto fenced = system->client(kPartitionedClient).Begin();
-  if (fenced.ok() || !fenced.status().IsZombieFenced()) {
-    return "pre-heal zombie was not fenced: " + fenced.status().ToString();
-  }
+  auto fenced = system.client(kPartitionedClient).Begin();
+  run.Check(!fenced.ok() && fenced.status().IsZombieFenced(),
+            "pre-heal zombie was not fenced: " + fenced.status().ToString());
 
   // Heal. The zombie can reach the server again -- and must still be
   // fenced there (epoch + admission), not silently readmitted.
-  system->rpc().faults() = NetFaultConfig{};
-  auto zombie = system->client(kPartitionedClient).Begin();
-  if (zombie.ok() || !zombie.status().IsZombieFenced()) {
-    return "post-heal zombie was not fenced: " + zombie.status().ToString();
-  }
-  if (m.Get(Counter::kLivenessZombieFenced) == 0) {
-    return "server never counted a fenced zombie request";
-  }
+  system.rpc().faults() = NetFaultConfig{};
+  auto zombie = system.client(kPartitionedClient).Begin();
+  run.Check(!zombie.ok() && zombie.status().IsZombieFenced(),
+            "post-heal zombie was not fenced: " + zombie.status().ToString());
+  run.Check(m.Get(Counter::kLivenessZombieFenced) > 0,
+            "server never counted a fenced zombie request");
 
   // Crash recovery readmits it; it finishes its quota.
-  if (Status st = system->RecoverZombie(kPartitionedClient); !st.ok()) {
-    return "recover zombie: " + st.ToString();
-  }
-  if (system->server().IsPresumedDead(dead_id)) {
-    return "still presumed dead after recovery";
-  }
-  if (m.Get(Counter::kLivenessRecoveredZombies) != 1) {
-    return "expected exactly one recovered zombie";
-  }
-  workload.OnClientRecovered(kPartitionedClient);
-  if (Status st = workload.Run(); !st.ok()) {
-    return "post-recovery run: " + st.ToString();
-  }
-  if (workload.stats().read_mismatches > 0) {
-    return std::to_string(workload.stats().read_mismatches) + " stale reads";
-  }
+  run.Check(system.RecoverZombie(kPartitionedClient), "recover zombie");
+  run.Check(!system.server().IsPresumedDead(dead_id),
+            "still presumed dead after recovery");
+  run.Check(m.Get(Counter::kLivenessRecoveredZombies) == 1,
+            "expected exactly one recovered zombie");
+  run.driver().OnClientRecovered(kPartitionedClient);
+  run.Run("post-recovery run");
 
   // Final invariants: zero oracle divergence, monotone durable PSNs.
-  if (Status st = system->FlushEverything(); !st.ok()) {
-    return "flush: " + st.ToString();
-  }
-  auto mismatches = oracle.Verify(system.get(), 0);
-  if (!mismatches.ok()) return "verify: " + mismatches.status().ToString();
-  if (mismatches.value() != 0) {
-    return std::to_string(mismatches.value()) + " oracle mismatches";
-  }
-  std::vector<uint64_t> after = ReadDurablePsns(config);
-  for (size_t p = 0; p < before.size(); ++p) {
-    if (after[p] < before[p]) {
-      return "page " + std::to_string(p) + " durable PSN went backwards: " +
-             std::to_string(before[p]) + " -> " + std::to_string(after[p]);
-    }
-  }
-  if (m.Get(Counter::kNetPartitionDrops) == 0) {
-    return "partition never dropped a message";
-  }
+  run.Verify();
+  run.Check(m.Get(Counter::kNetPartitionDrops) > 0,
+            "partition never dropped a message");
 
-  *commits = workload.stats().commits;
-  *fences = workload.stats().zombie_fences;
-  return "";
+  *commits = run.stats().commits;
+  *fences = run.stats().zombie_fences;
+  return run.failure();
 }
 
 // ---------------------------------------------------------------------------
@@ -247,89 +166,40 @@ std::string RunPartitionCell(uint64_t net_seed, uint64_t* commits,
 
 std::string RunFailoverKillCell(uint64_t seed, uint64_t* commits,
                                 uint64_t* failover_blocks) {
-  SystemConfig config;
-  config.dir = MakeTempDir("failover_kill_" + std::to_string(seed));
-  config.num_clients = 3;
-  config.page_size = 2048;
-  config.num_pages = 64;
-  config.preloaded_pages = 16;
-  config.objects_per_page = 8;
-  config.object_size = 64;
-  config.client_cache_pages = 4;
-  config.server_cache_pages = 8;
+  SystemConfig config =
+      SmallCacheConfig("failover_kill_" + std::to_string(seed));
   config.hot_standby = true;
   config.mastership_lease_us = 30000;
   config.failover_timeout_us = 4000;
-
-  auto sys_or = System::Create(config);
-  if (!sys_or.ok()) return "create: " + sys_or.status().ToString();
-  auto system = std::move(sys_or).value();
-
-  Oracle oracle;
-  WorkloadOptions options;
-  options.txns_per_client = 12;
-  options.ops_per_txn = 4;
-  options.write_fraction = 0.7;
-  options.pattern = AccessPattern::kHotCold;
-  options.seed = 777 + seed;
-  Workload workload(system.get(), &oracle, options);
+  const WorkloadOptions options = SeededWorkload(12, 777 + seed);
+  ScenarioRun<> run(config, options);
+  System& system = run.system();
 
   // Seed-dependent kill point, always mid-quota.
-  const uint64_t kill_after = 30 + seed * 13;
-  if (auto done = workload.RunSteps(kill_after); !done.ok()) {
-    return "pre-kill: " + done.status().ToString();
-  }
-  if (Status st = system->FlushEverything(); !st.ok()) {
-    return "pre-kill flush: " + st.ToString();
-  }
-  std::vector<uint64_t> before = ReadDurablePsns(config);
+  run.Steps(30 + seed * 13, "pre-kill");
+  run.Flush("pre-kill flush");
+  run.SnapshotPsns();
   // A couple more steps so the kill lands on a freshly renewed lease (the
   // flush itself burns more simulated time than the lease window).
-  if (auto done = workload.RunSteps(6); !done.ok()) {
-    return "pre-kill steps: " + done.status().ToString();
-  }
+  run.Steps(6, "pre-kill steps");
+  run.Check(system.CrashServer(), "crash");
+  run.Run("post-kill run");
 
-  if (Status st = system->CrashServer(); !st.ok()) {
-    return "crash: " + st.ToString();
+  Metrics& m = system.metrics();
+  run.Check(system.active_server_node() == 1, "never failed over");
+  run.Check(m.Get(Counter::kFailoverTakeovers) == 1,
+            "expected exactly one takeover, got " +
+                std::to_string(m.Get(Counter::kFailoverTakeovers)));
+  for (size_t c = 0; c < system.num_clients(); ++c) {
+    run.Check(run.driver().client_txns_done(c) == options.txns_per_client,
+              "client " + std::to_string(c) + " finished only " +
+                  std::to_string(run.driver().client_txns_done(c)) + " txns");
   }
-  if (Status st = workload.Run(); !st.ok()) {
-    return "post-kill run: " + st.ToString();
-  }
+  run.Verify();
 
-  Metrics& m = system->metrics();
-  if (system->active_server_node() != 1) return "never failed over";
-  if (m.Get(Counter::kFailoverTakeovers) != 1) {
-    return "expected exactly one takeover, got " +
-           std::to_string(m.Get(Counter::kFailoverTakeovers));
-  }
-  for (size_t c = 0; c < system->num_clients(); ++c) {
-    if (workload.client_txns_done(c) != options.txns_per_client) {
-      return "client " + std::to_string(c) + " finished only " +
-             std::to_string(workload.client_txns_done(c)) + " txns";
-    }
-  }
-  if (workload.stats().read_mismatches > 0) {
-    return std::to_string(workload.stats().read_mismatches) + " stale reads";
-  }
-  if (Status st = system->FlushEverything(); !st.ok()) {
-    return "flush: " + st.ToString();
-  }
-  auto mismatches = oracle.Verify(system.get(), 0);
-  if (!mismatches.ok()) return "verify: " + mismatches.status().ToString();
-  if (mismatches.value() != 0) {
-    return std::to_string(mismatches.value()) + " oracle mismatches";
-  }
-  std::vector<uint64_t> after = ReadDurablePsns(config);
-  for (size_t p = 0; p < before.size(); ++p) {
-    if (after[p] < before[p]) {
-      return "page " + std::to_string(p) + " durable PSN went backwards: " +
-             std::to_string(before[p]) + " -> " + std::to_string(after[p]);
-    }
-  }
-
-  *commits = workload.stats().commits;
-  *failover_blocks = workload.stats().failover_blocks;
-  return "";
+  *commits = run.stats().commits;
+  *failover_blocks = run.stats().failover_blocks;
+  return run.failure();
 }
 
 TEST(ChaosPartitionTest, PrimaryKillMatrixPreservesProgress) {
@@ -349,7 +219,7 @@ TEST(ChaosPartitionTest, PrimaryKillMatrixPreservesProgress) {
     line << "failover_seed=" << seed << " commits=" << commits
          << " failover_blocks=" << failover_blocks
          << " result=" << (failure.empty() ? "ok" : failure);
-    AppendSummary(line.str());
+    AppendSummary("partition", kSummaryEnv, line.str());
   }
   EXPECT_GT(total_commits, 0u);
   // At least some cells must have actually crossed a mastership gap (the
@@ -373,7 +243,7 @@ TEST(ChaosPartitionTest, PartitionMatrixPreservesLiveness) {
     line << "net_seed=" << seed << " declare_wait_us=" << declare_wait_us
          << " commits=" << commits << " zombie_fences=" << fences
          << " result=" << (failure.empty() ? "ok" : failure);
-    AppendSummary(line.str());
+    AppendSummary("partition", kSummaryEnv, line.str());
   }
   EXPECT_GT(total_commits, 0u);
 }

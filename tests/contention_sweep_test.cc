@@ -16,29 +16,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <vector>
 
-#include "core/oracle.h"
-#include "core/system.h"
-#include "core/workload.h"
-#include "core/workload_gen.h"
-#include "tests/test_util.h"
+#include "tests/scenario.h"
 
 namespace finelog {
 namespace {
 
-SystemConfig SweepConfig(const std::string& dir, uint32_t clients) {
-  SystemConfig config;
-  config.dir = dir;
+SystemConfig SweepConfig(const std::string& name, uint32_t clients) {
+  SystemConfig config = SmallConfig(name);
   config.num_clients = clients;
-  config.page_size = 2048;
-  config.num_pages = 64;
   config.preloaded_pages = 32;
-  config.objects_per_page = 8;
-  config.object_size = 64;
   config.client_cache_pages = 8;
   config.server_cache_pages = 64;
   return config;
@@ -53,12 +41,6 @@ struct CellResult {
 std::string RunCell(uint32_t clients, double theta, CellResult* out) {
   std::string tag = "sweep_c" + std::to_string(clients) + "_t" +
                     std::to_string(static_cast<int>(theta * 10));
-  SystemConfig config = SweepConfig(MakeTempDir(tag), clients);
-  auto sys_or = System::Create(config);
-  if (!sys_or.ok()) return "create: " + sys_or.status().ToString();
-  auto system = std::move(sys_or).value();
-  Oracle oracle;
-
   // Hold total committed work roughly constant across client counts so the
   // matrix stays CI-sized while still crossing the old 64-client comfort
   // zone.
@@ -73,46 +55,23 @@ std::string RunCell(uint32_t clients, double theta, CellResult* out) {
   mixed.ops_per_txn = 3;
   mixed.write_fraction = 0.6;
   options.phases = {mixed};
-
-  WorkloadGen gen(system.get(), &oracle, options);
+  ScenarioRun<WorkloadGen> run(SweepConfig(tag, clients),
+                               options);
 
   // Durable-PSN baseline after a slice of work, so monotonicity is checked
   // against a non-trivial on-disk state.
-  if (auto done = gen.RunSteps(clients * 6); !done.ok()) {
-    return "warmup: " + done.status().ToString();
-  }
-  if (Status st = system->FlushEverything(); !st.ok()) {
-    return "warmup flush: " + st.ToString();
-  }
-  std::vector<uint64_t> before = ReadDurablePsns(config);
+  run.Steps(clients * 6, "warmup");
+  run.Flush("warmup flush");
+  run.SnapshotPsns();
+  run.Run();
 
-  if (Status st = gen.Run(); !st.ok()) return "run: " + st.ToString();
-  if (Status st = system->FlushEverything(); !st.ok()) {
-    return "flush: " + st.ToString();
-  }
-
-  WorkloadStats totals = gen.TotalWorkloadStats();
-  if (totals.commits != uint64_t{clients} * txns) {
-    return "expected " + std::to_string(uint64_t{clients} * txns) +
-           " commits, got " + std::to_string(totals.commits);
-  }
-  if (totals.read_mismatches != 0) {
-    return std::to_string(totals.read_mismatches) + " stale reads";
-  }
-  auto mismatches = oracle.Verify(system.get(), 0);
-  if (!mismatches.ok()) return "verify: " + mismatches.status().ToString();
-  if (mismatches.value() != 0) {
-    return std::to_string(mismatches.value()) + " oracle mismatches";
-  }
-  std::vector<uint64_t> after = ReadDurablePsns(config);
-  for (size_t p = 0; p < before.size(); ++p) {
-    if (after[p] < before[p]) {
-      return "page " + std::to_string(p) + " durable PSN went backwards";
-    }
-  }
+  WorkloadStats totals = run.stats();
+  run.Check(totals.commits == uint64_t{clients} * txns,
+            "expected " + std::to_string(uint64_t{clients} * txns) +
+                " commits, got " + std::to_string(totals.commits));
   out->commits = totals.commits;
   out->would_blocks = totals.would_blocks;
-  return "";
+  return run.Verify();
 }
 
 TEST(ContentionSweepTest, MatrixVerifiesAtEveryScaleAndSkew) {
@@ -140,42 +99,13 @@ TEST(ContentionSweepTest, MatrixVerifiesAtEveryScaleAndSkew) {
 // Layer 3: defaults fingerprint.
 // ---------------------------------------------------------------------------
 
-struct RunFingerprint {
-  uint64_t total_messages = 0;
-  uint64_t total_items = 0;
-  uint64_t total_bytes = 0;
-  uint64_t sim_us = 0;
-  uint64_t commits = 0;
-  std::string log_bytes;
-
-  friend bool operator==(const RunFingerprint&,
-                         const RunFingerprint&) = default;
-};
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-template <typename DriverFn>
-RunFingerprint Fingerprint(const std::string& tag, DriverFn drive) {
-  SystemConfig config = SweepConfig(MakeTempDir(tag), 4);
-  auto system = System::Create(config).value();
-  Oracle oracle;
-  drive(system.get(), &oracle);
-  auto mismatches = oracle.Verify(system.get(), 0);
-  EXPECT_TRUE(mismatches.ok());
-  EXPECT_EQ(mismatches.value(), 0u);
-
-  RunFingerprint fp;
-  fp.total_messages = system->channel().total_messages();
-  fp.total_items = system->channel().total_items();
-  fp.total_bytes = system->channel().total_bytes();
-  fp.sim_us = system->clock().now_us();
-  fp.commits = system->client(0).commits();
-  fp.log_bytes = ReadFile(config.dir + "/client0.log");
+// A fingerprint of one drive of the four-client sweep deployment.
+template <typename Driver, typename Options>
+Fingerprint DriveFingerprint(const std::string& tag, const Options& options) {
+  ScenarioRun<Driver> run(SweepConfig(tag, 4), options);
+  run.Run();
+  EXPECT_EQ(run.Verify(/*flush=*/false), "");
+  Fingerprint fp = run.TakeFingerprint();
   EXPECT_FALSE(fp.log_bytes.empty());
   return fp;
 }
@@ -190,39 +120,32 @@ TEST(ContentionSweepTest, ThetaZeroFingerprintMatchesPlainWorkload) {
   constexpr uint32_t kOps = 4;
   constexpr double kWriteFraction = 0.7;
 
-  RunFingerprint via_gen =
-      Fingerprint("fp_gen", [&](System* system, Oracle* oracle) {
-        WorkloadGenOptions options;
-        options.seed = kSeed;
-        PhaseOptions phase;
-        phase.kind = PhaseKind::kMixed;
-        phase.zipf_theta = 0.0;
-        phase.txns_per_client = kTxns;
-        phase.ops_per_txn = kOps;
-        phase.write_fraction = kWriteFraction;
-        options.phases = {phase};
-        WorkloadGen gen(system, oracle, options);
-        EXPECT_TRUE(gen.Run().ok());
-      });
+  WorkloadGenOptions gen_options;
+  gen_options.seed = kSeed;
+  PhaseOptions phase;
+  phase.kind = PhaseKind::kMixed;
+  phase.zipf_theta = 0.0;
+  phase.txns_per_client = kTxns;
+  phase.ops_per_txn = kOps;
+  phase.write_fraction = kWriteFraction;
+  gen_options.phases = {phase};
+  Fingerprint via_gen = DriveFingerprint<WorkloadGen>("fp_gen", gen_options);
 
-  RunFingerprint via_plain =
-      Fingerprint("fp_plain", [&](System* system, Oracle* oracle) {
-        WorkloadOptions options;
-        // The generator derives a per-phase stream from its base seed;
-        // phase 0 uses exactly this offset.
-        options.seed = kSeed + 0x9E37;
-        options.pattern = AccessPattern::kUniform;
-        options.txns_per_client = kTxns;
-        options.ops_per_txn = kOps;
-        options.write_fraction = kWriteFraction;
-        Workload workload(system, oracle, options);
-        EXPECT_TRUE(workload.Run().ok());
-      });
+  WorkloadOptions options;
+  // The generator derives a per-phase stream from its base seed; phase 0
+  // uses exactly this offset.
+  options.seed = kSeed + 0x9E37;
+  options.pattern = AccessPattern::kUniform;
+  options.txns_per_client = kTxns;
+  options.ops_per_txn = kOps;
+  options.write_fraction = kWriteFraction;
+  Fingerprint via_plain = DriveFingerprint<Workload>("fp_plain", options);
 
   EXPECT_EQ(via_gen.total_messages, via_plain.total_messages);
   EXPECT_EQ(via_gen.total_items, via_plain.total_items);
   EXPECT_EQ(via_gen.total_bytes, via_plain.total_bytes);
   EXPECT_EQ(via_gen.sim_us, via_plain.sim_us);
+  EXPECT_EQ(via_gen.forces, via_plain.forces);
   EXPECT_EQ(via_gen.commits, via_plain.commits);
   EXPECT_TRUE(via_gen.log_bytes == via_plain.log_bytes)
       << "client log diverged (" << via_gen.log_bytes.size() << " vs "

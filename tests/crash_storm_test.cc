@@ -12,11 +12,7 @@
 #include <ostream>
 #include <string>
 
-#include "core/oracle.h"
-#include "core/system.h"
-#include "core/workload.h"
-#include "tests/test_util.h"
-#include "util/fault.h"
+#include "tests/scenario.h"
 
 namespace finelog {
 namespace {
@@ -40,69 +36,57 @@ void PrintTo(const StormCase& sc, std::ostream* os) {
   *os << sc.name << "_s" << sc.seed;
 }
 
-class CrashStormTest : public ::testing::TestWithParam<StormCase> {};
-
-TEST_P(CrashStormTest, SurvivesRepeatedCrashes) {
-  const StormCase& sc = GetParam();
-  SystemConfig config = SmallConfig(std::string("storm_") + sc.name + "_" +
-                                    std::to_string(sc.seed));
+// Four clients with six-page caches running the case's workload.
+SystemConfig StormConfig(const StormCase& sc, const std::string& prefix) {
+  SystemConfig config =
+      SmallConfig(prefix + sc.name + "_" + std::to_string(sc.seed));
   config.num_clients = 4;
   config.client_cache_pages = 6;
   config.lock_granularity = sc.granularity;
   config.same_page_policy = sc.same_page;
   config.resize_reserve = sc.resize_reserve;
-  auto system = System::Create(config).value();
+  return config;
+}
 
-  Oracle oracle;
+WorkloadOptions StormOptions(const StormCase& sc) {
   WorkloadOptions options;
   options.txns_per_client = 14;
   options.ops_per_txn = 5;
   options.write_fraction = 0.6;
   options.pattern = sc.pattern;
   options.seed = sc.seed;
-  Workload workload(system.get(), &oracle, options);
+  return options;
+}
+
+class CrashStormTest : public ::testing::TestWithParam<StormCase> {};
+
+TEST_P(CrashStormTest, SurvivesRepeatedCrashes) {
+  const StormCase& sc = GetParam();
+  ScenarioRun<> run(StormConfig(sc, "storm_"), StormOptions(sc));
 
   Rng rng(sc.seed * 7919 + 13);
   for (int round = 0; round < 8; ++round) {
-    auto done = workload.RunSteps(15 + rng.Uniform(45));
-    ASSERT_TRUE(done.ok()) << done.status().ToString();
-    if (done.value()) break;
+    if (run.Steps(15 + rng.Uniform(45))) break;
     if (round % 2 == 1) continue;
 
-    bool crash_clients = sc.kind != CrashKind::kServer;
-    bool crash_server = sc.kind != CrashKind::kClients;
-    if (crash_clients) {
-      size_t victims = sc.kind == CrashKind::kEverything
-                           ? system->num_clients()
-                           : 1 + rng.Uniform(2);
+    if (sc.kind != CrashKind::kServer) {
+      size_t n = run.system().num_clients();
+      size_t victims =
+          sc.kind == CrashKind::kEverything ? n : 1 + rng.Uniform(2);
       for (size_t v = 0; v < victims; ++v) {
-        size_t i = sc.kind == CrashKind::kEverything
-                       ? v
-                       : rng.Uniform(system->num_clients());
-        if (system->client(i).crashed()) continue;
-        ASSERT_TRUE(system->CrashClient(i).ok());
-        oracle.CrashClient(static_cast<ClientId>(i));
-        workload.OnClientCrashed(i);
+        run.CrashClient(sc.kind == CrashKind::kEverything ? v
+                                                          : rng.Uniform(n));
       }
     }
-    if (crash_server) {
-      ASSERT_TRUE(system->CrashServer().ok());
-    }
-    ASSERT_TRUE(system->RecoverAll().ok());
-    for (size_t i = 0; i < system->num_clients(); ++i) {
-      if (!system->client(i).crashed()) workload.OnClientRecovered(i);
-    }
-    EXPECT_EQ(workload.stats().read_mismatches, 0u)
+    if (sc.kind != CrashKind::kClients) run.CrashServer();
+    run.RecoverAll();
+    EXPECT_EQ(run.stats().read_mismatches, 0u)
         << "stale read after round " << round;
   }
 
-  ASSERT_TRUE(workload.Run().ok());
-  EXPECT_EQ(workload.stats().read_mismatches, 0u);
-  EXPECT_GT(workload.stats().commits, 0u);
-  ASSERT_TRUE(system->FlushEverything().ok());
-  auto mismatches = oracle.Verify(system.get(), 0);
-  ASSERT_TRUE(mismatches.ok()) << mismatches.status().ToString();
-  EXPECT_EQ(mismatches.value(), 0u);
+  ASSERT_TRUE(run.Run()) << run.failure();
+  EXPECT_GT(run.stats().commits, 0u);
+  EXPECT_EQ(run.Verify(), "");
 }
 
 constexpr StormCase kStorms[] = {
@@ -157,51 +141,18 @@ class InstantRestartStormTest : public ::testing::TestWithParam<StormCase> {};
 TEST_P(InstantRestartStormTest, SurvivesRepeatedCrashesMidRecovery) {
   const StormCase& sc = GetParam();
   FaultInjector injector;
-  SystemConfig config = SmallConfig(std::string("lazystorm_") + sc.name + "_" +
-                                    std::to_string(sc.seed));
-  config.num_clients = 4;
-  config.client_cache_pages = 6;
-  config.lock_granularity = sc.granularity;
-  config.same_page_policy = sc.same_page;
-  config.resize_reserve = sc.resize_reserve;
+  SystemConfig config = StormConfig(sc, "lazystorm_");
   config.instant_restart = true;
   config.fault_injector = &injector;
-  auto system = System::Create(config).value();
-
-  Oracle oracle;
-  WorkloadOptions options;
-  options.txns_per_client = 14;
-  options.ops_per_txn = 5;
-  options.write_fraction = 0.6;
-  options.pattern = sc.pattern;
-  options.seed = sc.seed;
-  Workload workload(system.get(), &oracle, options);
-
-  auto crash_everything = [&] {
-    for (size_t i = 0; i < system->num_clients(); ++i) {
-      if (system->client(i).crashed()) continue;
-      ASSERT_TRUE(system->CrashClient(i).ok());
-      oracle.CrashClient(static_cast<ClientId>(i));
-      workload.OnClientCrashed(i);
-    }
-    ASSERT_TRUE(system->CrashServer().ok());
-  };
-  auto recover_all = [&] {
-    ASSERT_TRUE(system->RecoverAll().ok());
-    for (size_t i = 0; i < system->num_clients(); ++i) {
-      if (!system->client(i).crashed()) workload.OnClientRecovered(i);
-    }
-  };
+  ScenarioRun<> run(config, StormOptions(sc));
 
   Rng rng(sc.seed * 104729 + 7);
   for (int round = 0; round < 8; ++round) {
-    auto done = workload.RunSteps(15 + rng.Uniform(45));
-    ASSERT_TRUE(done.ok()) << done.status().ToString();
-    if (done.value()) break;
+    if (run.Steps(15 + rng.Uniform(45))) break;
     if (round % 2 == 1) continue;
 
-    crash_everything();
-    recover_all();
+    run.CrashAll();
+    run.RecoverAll();
     switch (round / 2 % 3) {
       case 0:
         // Interrupt the next lazy repair mid-stream.
@@ -210,32 +161,27 @@ TEST_P(InstantRestartStormTest, SurvivesRepeatedCrashesMidRecovery) {
         break;
       case 1:
         // Second crash while N pages are still unrecovered.
-        if (system->RecoveryPagesPending() > 0) {
-          crash_everything();
-          recover_all();
+        if (run.system().RecoveryPagesPending() > 0) {
+          run.CrashAll();
+          run.RecoverAll();
         }
         break;
       case 2: {
         // Partial drain: later rounds crash a half-repaired backlog.
-        Status st = system->DrainRecovery(1 + rng.Uniform(3));
-        ASSERT_TRUE(st.ok() || st.IsWouldBlock()) << st.ToString();
+        Status st = run.system().DrainRecovery(1 + rng.Uniform(3));
+        run.Check(st.ok() || st.IsWouldBlock(),
+                  "partial drain: " + st.ToString());
         break;
       }
     }
-    EXPECT_EQ(workload.stats().read_mismatches, 0u)
+    EXPECT_EQ(run.stats().read_mismatches, 0u)
         << "stale read after round " << round;
   }
 
-  ASSERT_TRUE(workload.Run().ok());
-  EXPECT_EQ(workload.stats().read_mismatches, 0u);
-  EXPECT_GT(workload.stats().commits, 0u);
-  injector.Disarm();  // An unconsumed interruption must not block the drain.
-  ASSERT_TRUE(system->DrainRecovery().ok());
-  EXPECT_EQ(system->RecoveryPagesPending(), 0u);
-  ASSERT_TRUE(system->FlushEverything().ok());
-  auto mismatches = oracle.Verify(system.get(), 0);
-  ASSERT_TRUE(mismatches.ok()) << mismatches.status().ToString();
-  EXPECT_EQ(mismatches.value(), 0u);
+  ASSERT_TRUE(run.Run()) << run.failure();
+  EXPECT_GT(run.stats().commits, 0u);
+  // Verify() disarms an unconsumed interruption and drains the backlog.
+  EXPECT_EQ(run.Verify(), "");
 }
 
 constexpr StormCase kLazyStorms[] = {

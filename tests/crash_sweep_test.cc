@@ -11,287 +11,54 @@
 // the workload resumes to completion and the Oracle verifies that every
 // committed update survived and no uncommitted one did.
 //
-// Two "teeth" tests prove the sweep can actually fail: deliberately broken
-// recovery modes (trusting the log tail without the CRC scan; ignoring the
-// doublewrite journal) must turn at least one swept crash point into a
-// detected failure.
+// tests/scenario.h runs each crash point. Two "teeth" tests prove the sweep
+// can actually fail: deliberately broken recovery modes (trusting the log
+// tail without the CRC scan; ignoring the doublewrite journal) must turn at
+// least one swept crash point into a detected failure.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/oracle.h"
-#include "core/system.h"
-#include "core/workload.h"
-#include "tests/test_util.h"
-#include "util/fault.h"
+#include "tests/scenario.h"
 
 namespace finelog {
 namespace {
 
 constexpr uint64_t kSeed = 4242;
 
-// Small caches force client->server ships and server evictions, so the
-// workload exercises every fail-point family: client log appends/forces,
-// server replacement-log appends/forces, and journaled page writes.
-SystemConfig SweepConfig(const std::string& dir, FaultInjector* injector) {
-  SystemConfig config;
-  config.dir = dir;
-  config.num_clients = 3;
-  config.page_size = 2048;
-  config.num_pages = 64;
-  config.preloaded_pages = 16;
-  config.objects_per_page = 8;
-  config.object_size = 64;
-  config.client_cache_pages = 4;
-  config.server_cache_pages = 8;
-  config.fault_injector = injector;
-  return config;
+Scenario SweepScenario(const std::string& name, FaultInjector* injector) {
+  Scenario s;
+  s.config = SmallCacheConfig(name, injector);
+  s.workload = SeededWorkload(6, kSeed);
+  return s;
 }
 
-WorkloadOptions SweepOptions() {
-  WorkloadOptions options;
-  options.txns_per_client = 6;
-  options.ops_per_txn = 4;
-  options.write_fraction = 0.7;
-  options.pattern = AccessPattern::kHotCold;
-  options.seed = kSeed;
-  return options;
+constexpr FaultAction kActions[] = {FaultAction::kTornWrite,
+                                    FaultAction::kError,
+                                    FaultAction::kShortWrite};
+constexpr double kCuts[] = {0.5, 0.25, 0.75};
+
+// Crash point number `swept` of a sweep: a fault at hit `k`, rotating the
+// fault action and the torn-write cut.
+Scenario CrashPoint(Scenario s, uint64_t k, size_t swept) {
+  s.hit = k;
+  s.action = kActions[swept % 3];
+  s.cut = kCuts[(swept / 3) % 3];
+  return s;
 }
 
-// Reads one object through a fresh transaction on client 0, retrying lock
-// conflicts. Used to settle in-doubt commits after recovery.
-Result<std::string> ProbeRead(System* system, ObjectId oid) {
-  for (int attempt = 0; attempt < 50; ++attempt) {
-    auto txn = system->client(0).Begin();
-    if (!txn.ok()) return txn.status();
-    auto got = system->client(0).Read(txn.value(), oid);
-    if (got.ok()) {
-      FINELOG_RETURN_IF_ERROR(system->client(0).Commit(txn.value()));
-      return got;
-    }
-    FINELOG_RETURN_IF_ERROR(system->client(0).Abort(txn.value()));
-    if (!got.status().IsWouldBlock()) return got.status();
-  }
-  return Status::Internal("probe read never granted");
-}
-
-struct CrashPointOutcome {
-  bool triggered = false;
-  std::string point;    // Fail-point that fired.
-  std::string failure;  // Empty = survived the crash end-to-end.
-};
-
-// Runs the seeded workload with a one-shot fault armed at global hit `k`
-// (counted from the end of bootstrap), crashes everything when it fires,
-// recovers, resumes, and verifies. Never uses gtest assertions so the teeth
-// tests can count failures instead of aborting.
-//
-// With `instant_restart`, the server restart is lazy (DESIGN.md section 18):
-// the workload resumes against a backlog of unrecovered pages, and an armed
-// `recovery.server.lazy_repair` interruption degrades one mid-recovery
-// repair. With `double_crash` additionally, every node crashes a second time
-// while pages are still unrecovered -- the hardest mid-recovery fail point.
-CrashPointOutcome RunCrashPoint(FaultInjector* injector, uint64_t k,
-                                FaultAction action, double cut_fraction,
-                                bool trust_log_tail, bool skip_journal_replay,
-                                const std::string& dir_tag,
-                                bool instant_restart = false,
-                                bool double_crash = false) {
-  CrashPointOutcome out;
-  std::string dir = MakeTempDir("sweep_" + dir_tag + std::to_string(k));
-  SystemConfig config = SweepConfig(dir, injector);
-  config.debug_trust_log_tail = trust_log_tail;
-  config.debug_skip_journal_replay = skip_journal_replay;
-  config.instant_restart = instant_restart;
-
-  injector->Disarm();
-  auto sys_or = System::Create(config);
-  if (!sys_or.ok()) {
-    out.failure = "create: " + sys_or.status().ToString();
-    return out;
-  }
-  auto system = std::move(sys_or).value();
-  // Count hits from here so `k` indexes the workload window, matching the
-  // enumeration pass (bootstrap performs the same deterministic hit prefix).
-  injector->ResetCounts();
-  injector->ArmGlobalHit(k, action, cut_fraction);
-
-  Oracle oracle;
-  Workload workload(system.get(), &oracle, SweepOptions());
-  std::optional<TxnId> in_doubt;
-  bool complete = false;
-  while (!injector->triggered() && !complete) {
-    auto done = workload.RunSteps(1);
-    if (!done.ok()) {
-      if (!injector->triggered()) {
-        out.failure = "uninjected workload error: " + done.status().ToString();
-        return out;
-      }
-      // A hard error surfaced from the injected fault. A failed Commit() is
-      // in-doubt: the commit record may have reached the log before the
-      // failure was reported.
-      const auto& fail = workload.last_failure();
-      if (fail.has_value() && fail->during_commit) {
-        oracle.MarkInDoubt(fail->txn);
-        in_doubt = fail->txn;
-      }
-      break;
-    }
-    complete = done.value();
-  }
-  if (!injector->triggered()) {
-    out.failure = "fault at hit " + std::to_string(k) + " never fired";
-    return out;
-  }
-  out.triggered = true;
-  out.point = injector->fired()->point;
-
-  // Crash every node. Volatile state is dropped; whatever the injector left
-  // half-written on disk stays exactly as it is.
-  for (size_t i = 0; i < system->num_clients(); ++i) {
-    if (Status st = system->CrashClient(i); !st.ok()) {
-      out.failure = "crash client: " + st.ToString();
-      return out;
-    }
-    oracle.CrashClient(static_cast<ClientId>(i));
-    workload.OnClientCrashed(i);
-  }
-  if (Status st = system->CrashServer(); !st.ok()) {
-    out.failure = "crash server: " + st.ToString();
-    return out;
-  }
-
-  if (Status st = system->RecoverAll(); !st.ok()) {
-    out.failure = "recovery: " + st.ToString();
-    return out;
-  }
-  for (size_t i = 0; i < system->num_clients(); ++i) {
-    workload.OnClientRecovered(i);
-  }
-
-  if (instant_restart && double_crash &&
-      system->RecoveryPagesPending() > 0) {
-    // Second crash during lazy recovery: the re-derived backlog must be just
-    // as recoverable as the first one.
-    for (size_t i = 0; i < system->num_clients(); ++i) {
-      if (Status st = system->CrashClient(i); !st.ok()) {
-        out.failure = "second crash client: " + st.ToString();
-        return out;
-      }
-      oracle.CrashClient(static_cast<ClientId>(i));
-      workload.OnClientCrashed(i);
-    }
-    if (Status st = system->CrashServer(); !st.ok()) {
-      out.failure = "second crash server: " + st.ToString();
-      return out;
-    }
-    if (Status st = system->RecoverAll(); !st.ok()) {
-      out.failure = "second recovery: " + st.ToString();
-      return out;
-    }
-    for (size_t i = 0; i < system->num_clients(); ++i) {
-      workload.OnClientRecovered(i);
-    }
-  }
-  if (instant_restart) {
-    // One mid-recovery repair degrades to WouldBlock(kRecoveringPage); the
-    // workload's generic retry must absorb it with no oracle divergence.
-    injector->ArmPoint("recovery.server.lazy_repair", 1, FaultAction::kError,
-                       0.5);
-  }
-
-  // Settle the in-doubt commit: find an object whose value differs between
-  // the committed and aborted outcomes and read it back. Recovery made the
-  // transaction atomic, so one distinguishing object decides it (the final
-  // Verify cross-checks every other object anyway).
-  if (in_doubt.has_value() && oracle.InDoubt(*in_doubt) != nullptr) {
-    const auto* writes = oracle.InDoubt(*in_doubt);
-    bool committed = false;
-    for (const auto& [oid, value] : *writes) {
-      auto prior = oracle.CommittedValue(oid);
-      std::optional<std::string> if_aborted =
-          prior.has_value()
-              ? *prior
-              : std::optional<std::string>(
-                    std::string(config.object_size, '\0'));
-      if (value == if_aborted) continue;  // Indistinguishable outcomes.
-      auto got = ProbeRead(system.get(), oid);
-      if (!got.ok()) {
-        out.failure = "in-doubt probe: " + got.status().ToString();
-        return out;
-      }
-      committed = value.has_value() && got.value() == *value;
-      break;
-    }
-    oracle.ResolveInDoubt(*in_doubt, committed);
-  }
-
-  // The recovered system must be fully usable: resume the workload to
-  // completion, quiesce, and verify against the oracle.
-  if (Status st = workload.Run(); !st.ok()) {
-    out.failure = "resume: " + st.ToString();
-    return out;
-  }
-  if (workload.stats().read_mismatches > 0) {
-    out.failure = std::to_string(workload.stats().read_mismatches) +
-                  " stale reads after recovery";
-    return out;
-  }
-  if (instant_restart) {
-    // The armed interruption may never have been consumed (the resumed
-    // workload might not touch a pending page); clear it and drain whatever
-    // the demand traffic left behind.
-    injector->Disarm();
-    if (Status st = system->DrainRecovery(); !st.ok()) {
-      out.failure = "drain: " + st.ToString();
-      return out;
-    }
-    if (system->RecoveryPagesPending() != 0) {
-      out.failure = "recovery backlog did not drain";
-      return out;
-    }
-  }
-  if (Status st = system->FlushEverything(); !st.ok()) {
-    out.failure = "flush: " + st.ToString();
-    return out;
-  }
-  auto mismatches = oracle.Verify(system.get(), 0);
-  if (!mismatches.ok()) {
-    out.failure = "verify: " + mismatches.status().ToString();
-    return out;
-  }
-  if (mismatches.value() != 0) {
-    out.failure = std::to_string(mismatches.value()) + " oracle mismatches";
-    return out;
-  }
-  return out;
-}
-
-// Runs the workload once with the injector as a pure counting probe and
-// returns the number of fail-point hits in the workload window. Drives one
-// step at a time -- the exact loop RunCrashPoint uses -- so the hit sequence
-// enumerated here is the sequence every sweep run replays (RunSteps restarts
-// its client scan each call, so chunk size is part of the schedule).
-uint64_t EnumerateHits(FaultInjector* injector, const std::string& dir_tag) {
-  injector->Disarm();
-  auto system =
-      System::Create(SweepConfig(MakeTempDir(dir_tag), injector)).value();
-  injector->ResetCounts();
-  Oracle oracle;
-  Workload workload(system.get(), &oracle, SweepOptions());
-  bool complete = false;
-  while (!complete) {
-    auto done = workload.RunSteps(1);
-    EXPECT_TRUE(done.ok()) << done.status().ToString();
-    if (!done.ok()) break;
-    complete = done.value();
-  }
-  return injector->total_hits();
+std::string Repro(const Scenario& s, const ScenarioOutcome& out, uint64_t m) {
+  std::ostringstream msg;
+  msg << "crash at hit " << s.hit << " of " << m << " (" << out.fired << ", "
+      << FaultActionName(s.action) << ", cut " << s.cut
+      << (s.second_crash ? ", double crash" : "")
+      << "): reproduce with seed " << kSeed;
+  return msg.str();
 }
 
 // Two enumeration passes with the same seed must produce identical hit
@@ -301,8 +68,8 @@ TEST(CrashSweepTest, EnumerationIsDeterministic) {
   FaultInjector a, b;
   a.EnableTrace(true);
   b.EnableTrace(true);
-  uint64_t hits_a = EnumerateHits(&a, "sweep_enum_a");
-  uint64_t hits_b = EnumerateHits(&b, "sweep_enum_b");
+  uint64_t hits_a = CountHits(SweepScenario("sweep_enum_a", &a));
+  uint64_t hits_b = CountHits(SweepScenario("sweep_enum_b", &b));
   EXPECT_GT(hits_a, 0u);
   EXPECT_EQ(hits_a, hits_b);
   EXPECT_EQ(a.hit_counts(), b.hit_counts());
@@ -312,18 +79,17 @@ TEST(CrashSweepTest, EnumerationIsDeterministic) {
 // Every hit must also be mirrored into the system's Metrics registry, and
 // those counters must be deterministic across runs too.
 TEST(CrashSweepTest, HitMetricsAreDeterministic) {
-  auto run = [](const std::string& tag) {
+  auto fault_counters = [](const std::string& tag) {
     FaultInjector injector;
-    auto system =
-        System::Create(SweepConfig(MakeTempDir(tag), &injector)).value();
-    Oracle oracle;
-    Workload workload(system.get(), &oracle, SweepOptions());
-    EXPECT_TRUE(workload.Run().ok());
-    std::map<std::string, uint64_t> fault_counters;
+    ScenarioRun<> run(SmallCacheConfig(tag, &injector),
+                      SeededWorkload(6, kSeed));
+    EXPECT_TRUE(run.Run()) << run.failure();
+    const Metrics& metrics = run.system().metrics();
+    std::map<std::string, uint64_t> counters;
     uint64_t mirrored = 0;
-    for (const auto& [name, value] : system->metrics().counters()) {
+    for (const auto& [name, value] : metrics.counters()) {
       if (name.rfind("fault.", 0) == 0) {
-        fault_counters[name] = value;
+        counters[name] = value;
         mirrored += value;
       }
     }
@@ -331,38 +97,30 @@ TEST(CrashSweepTest, HitMetricsAreDeterministic) {
     // (bootstrap hits land in metrics too, hence >=).
     EXPECT_GE(mirrored, injector.total_hits());
     for (const auto& [point, count] : injector.hit_counts()) {
-      EXPECT_EQ(system->metrics().Get("fault." + point), count) << point;
+      EXPECT_EQ(metrics.Get("fault." + point), count) << point;
     }
-    return fault_counters;
+    return counters;
   };
-  EXPECT_EQ(run("sweep_met_a"), run("sweep_met_b"));
+  EXPECT_EQ(fault_counters("sweep_met_a"), fault_counters("sweep_met_b"));
 }
 
 // The tentpole: sweep a strided sample of every fail-point hit the workload
 // performs, crash at each, and require a clean recovery every time.
 TEST(CrashSweepTest, EveryCrashPointRecovers) {
   FaultInjector injector;
-  uint64_t m = EnumerateHits(&injector, "sweep_enum");
+  const uint64_t m = CountHits(SweepScenario("sweep_enum", &injector));
   ASSERT_GE(m, 100u) << "workload too small to sweep";
 
-  constexpr FaultAction kActions[] = {FaultAction::kTornWrite,
-                                      FaultAction::kError,
-                                      FaultAction::kShortWrite};
-  constexpr double kCuts[] = {0.5, 0.25, 0.75};
-  uint64_t stride = std::max<uint64_t>(1, m / 110);
+  const uint64_t stride = std::max<uint64_t>(1, m / 110);
   std::set<std::string> points;
   size_t swept = 0;
   for (uint64_t k = 1; k <= m; k += stride, ++swept) {
-    FaultAction action = kActions[swept % 3];
-    double cut = kCuts[(swept / 3) % 3];
-    CrashPointOutcome out =
-        RunCrashPoint(&injector, k, action, cut, false, false, "k");
-    ASSERT_TRUE(out.triggered) << "k=" << k << ": " << out.failure;
-    EXPECT_EQ(out.failure, "")
-        << "crash at hit " << k << " of " << m << " (" << out.point << ", "
-        << FaultActionName(action) << ", cut " << cut
-        << "): reproduce with seed " << kSeed;
-    points.insert(out.point);
+    Scenario s = CrashPoint(
+        SweepScenario("sweep_k" + std::to_string(k), &injector), k, swept);
+    ScenarioOutcome out = RunScenario(s);
+    ASSERT_FALSE(out.fired.empty()) << "k=" << k << ": " << out.failure;
+    EXPECT_EQ(out.failure, "") << Repro(s, out, m);
+    points.insert(out.fired);
   }
   EXPECT_GE(swept, 100u);
 
@@ -386,28 +144,19 @@ TEST(CrashSweepTest, EveryCrashPointRecovers) {
 // throughout.
 TEST(CrashSweepTest, LazyRestartCrashPointsRecover) {
   FaultInjector injector;
-  uint64_t m = EnumerateHits(&injector, "sweep_enum_lazy");
+  const uint64_t m = CountHits(SweepScenario("sweep_enum_lazy", &injector));
   ASSERT_GE(m, 100u) << "workload too small to sweep";
 
-  constexpr FaultAction kActions[] = {FaultAction::kTornWrite,
-                                      FaultAction::kError,
-                                      FaultAction::kShortWrite};
-  constexpr double kCuts[] = {0.5, 0.25, 0.75};
-  uint64_t stride = std::max<uint64_t>(1, m / 30);
+  const uint64_t stride = std::max<uint64_t>(1, m / 30);
   size_t swept = 0;
   for (uint64_t k = 1; k <= m; k += stride, ++swept) {
-    FaultAction action = kActions[swept % 3];
-    double cut = kCuts[(swept / 3) % 3];
-    bool double_crash = swept % 3 == 2;
-    CrashPointOutcome out =
-        RunCrashPoint(&injector, k, action, cut, false, false, "lz",
-                      /*instant_restart=*/true, double_crash);
-    ASSERT_TRUE(out.triggered) << "k=" << k << ": " << out.failure;
-    EXPECT_EQ(out.failure, "")
-        << "lazy crash at hit " << k << " of " << m << " (" << out.point
-        << ", " << FaultActionName(action) << ", cut " << cut
-        << (double_crash ? ", double crash" : "")
-        << "): reproduce with seed " << kSeed;
+    Scenario s = CrashPoint(
+        SweepScenario("sweep_lz" + std::to_string(k), &injector), k, swept);
+    s.config.instant_restart = true;
+    s.second_crash = swept % 3 == 2;
+    ScenarioOutcome out = RunScenario(s);
+    ASSERT_FALSE(out.fired.empty()) << "k=" << k << ": " << out.failure;
+    EXPECT_EQ(out.failure, "") << "lazy " << Repro(s, out, m);
   }
   EXPECT_GE(swept, 25u);
 }
@@ -434,8 +183,8 @@ TEST(CrashSweepTest, GroupedForceCrashIsAtomicPerTransaction) {
     SCOPED_TRACE(std::string(FaultActionName(cs.action)) + " cut " +
                  std::to_string(cs.cut));
     FaultInjector injector;
-    SystemConfig config = SweepConfig(
-        MakeTempDir("sweep_group_" + std::to_string(case_idx++)), &injector);
+    SystemConfig config = SmallCacheConfig(
+        "sweep_group_" + std::to_string(case_idx++), &injector);
     config.num_clients = 1;
     config.client_cache_pages = 16;  // No eviction forces mid-group.
     config.group_commit_window = 1000ull * 1000 * 1000;
@@ -526,7 +275,7 @@ std::vector<uint64_t> CandidateHits(const std::vector<std::string>& trace,
 TEST(CrashSweepTest, BrokenLogTailScanIsCaught) {
   FaultInjector injector;
   injector.EnableTrace(true);
-  EnumerateHits(&injector, "sweep_teeth_log");
+  CountHits(SweepScenario("sweep_teeth_log", &injector));
   std::vector<uint64_t> candidates =
       CandidateHits(injector.trace(), 8, [](const std::string& p) {
         return p.rfind("client", 0) == 0 &&
@@ -537,10 +286,12 @@ TEST(CrashSweepTest, BrokenLogTailScanIsCaught) {
 
   size_t failures = 0;
   for (uint64_t k : candidates) {
-    CrashPointOutcome out = RunCrashPoint(&injector, k, FaultAction::kTornWrite,
-                                          0.5, /*trust_log_tail=*/true,
-                                          /*skip_journal_replay=*/false, "tl");
-    if (!out.triggered || !out.failure.empty()) ++failures;
+    Scenario s = SweepScenario("sweep_tl" + std::to_string(k), &injector);
+    s.config.debug_trust_log_tail = true;
+    s.hit = k;
+    s.action = FaultAction::kTornWrite;
+    s.cut = 0.5;
+    if (!RunScenario(s).failure.empty()) ++failures;
   }
   EXPECT_GT(failures, 0u)
       << "skipping the log-tail CRC scan went undetected across "
@@ -553,21 +304,22 @@ TEST(CrashSweepTest, BrokenLogTailScanIsCaught) {
 TEST(CrashSweepTest, BrokenJournalReplayIsCaught) {
   FaultInjector injector;
   injector.EnableTrace(true);
-  EnumerateHits(&injector, "sweep_teeth_disk");
+  CountHits(SweepScenario("sweep_teeth_disk", &injector));
   std::vector<uint64_t> candidates = CandidateHits(
       injector.trace(), 8,
       [](const std::string& p) { return p == "server.disk.page"; });
   injector.EnableTrace(false);
   ASSERT_FALSE(candidates.empty()) << "workload never writes a server page";
 
-  constexpr double kCuts[] = {0.5, 0.25, 0.75};
   size_t failures = 0;
   for (size_t j = 0; j < candidates.size(); ++j) {
-    CrashPointOutcome out =
-        RunCrashPoint(&injector, candidates[j], FaultAction::kTornWrite,
-                      kCuts[j % 3], /*trust_log_tail=*/false,
-                      /*skip_journal_replay=*/true, "sj");
-    if (!out.triggered || !out.failure.empty()) ++failures;
+    Scenario s =
+        SweepScenario("sweep_sj" + std::to_string(candidates[j]), &injector);
+    s.config.debug_skip_journal_replay = true;
+    s.hit = candidates[j];
+    s.action = FaultAction::kTornWrite;
+    s.cut = kCuts[j % 3];
+    if (!RunScenario(s).failure.empty()) ++failures;
   }
   EXPECT_GT(failures, 0u)
       << "skipping journal replay went undetected across "

@@ -22,15 +22,9 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <vector>
 
-#include "core/oracle.h"
-#include "core/system.h"
-#include "core/workload.h"
-#include "tests/test_util.h"
+#include "tests/scenario.h"
 #include "util/metrics.h"
 
 namespace finelog {
@@ -48,47 +42,26 @@ SystemConfig FailoverConfig(const std::string& name) {
 }
 
 WorkloadOptions FailoverOptions(uint64_t seed) {
-  WorkloadOptions options;
-  options.txns_per_client = 10;
-  options.ops_per_txn = 4;
-  options.write_fraction = 0.7;
-  options.pattern = AccessPattern::kHotCold;
-  options.seed = seed;
-  return options;
-}
-
-void ExpectCleanFinish(System* system, Oracle* oracle, Workload* workload) {
-  EXPECT_EQ(workload->stats().read_mismatches, 0u);
-  ASSERT_TRUE(system->FlushEverything().ok());
-  auto mismatches = oracle->Verify(system, 0);
-  ASSERT_TRUE(mismatches.ok()) << mismatches.status().ToString();
-  EXPECT_EQ(mismatches.value(), 0u);
+  return SeededWorkload(10, seed);
 }
 
 TEST(FailoverTest, CleanSwitchoverCompletesWorkload) {
-  SystemConfig config = FailoverConfig("failover_switchover");
-  auto system = System::Create(config).value();
-  Oracle oracle;
-  Workload workload(system.get(), &oracle, FailoverOptions(7));
+  ScenarioRun<> run(FailoverConfig("failover_switchover"), FailoverOptions(7));
+  System& system = run.system();
+  run.Steps(40);
+  run.Flush();
+  run.SnapshotPsns();
+  EXPECT_EQ(system.active_server_node(), 0);
 
-  ASSERT_TRUE(workload.RunSteps(40).ok());
-  ASSERT_TRUE(system->FlushEverything().ok());
-  std::vector<uint64_t> before = ReadDurablePsns(config);
-  EXPECT_EQ(system->active_server_node(), 0);
+  ASSERT_TRUE(system.Switchover().ok());
+  ASSERT_TRUE(run.Run()) << run.failure();
 
-  ASSERT_TRUE(system->Switchover().ok());
-  ASSERT_TRUE(workload.Run().ok());
-
-  EXPECT_EQ(system->active_server_node(), 1);
-  Metrics& m = system->metrics();
+  EXPECT_EQ(system.active_server_node(), 1);
+  Metrics& m = system.metrics();
   EXPECT_EQ(m.Get(Counter::kFailoverTakeovers), 1u);
   EXPECT_EQ(m.Get(Counter::kFailoverSwitchovers), 1u);
   EXPECT_GE(m.Get(Counter::kFailoverProbes), 1u);
-  ExpectCleanFinish(system.get(), &oracle, &workload);
-  std::vector<uint64_t> after = ReadDurablePsns(config);
-  for (size_t p = 0; p < before.size(); ++p) {
-    EXPECT_GE(after[p], before[p]) << "page " << p;
-  }
+  EXPECT_EQ(run.Verify(), "");
 }
 
 TEST(FailoverTest, PrimaryKillMidWorkloadFailsOver) {
@@ -97,62 +70,56 @@ TEST(FailoverTest, PrimaryKillMidWorkloadFailsOver) {
   // without tripping the client's time-based self-fence.
   config.heartbeat_interval_us = 2000;
   config.lease_duration_us = 800000;
-  auto system = System::Create(config).value();
-  Oracle oracle;
-  Workload workload(system.get(), &oracle, FailoverOptions(11));
+  ScenarioRun<> run(config, FailoverOptions(11));
+  System& system = run.system();
 
-  ASSERT_TRUE(workload.RunSteps(50).ok());
-  ASSERT_TRUE(system->FlushEverything().ok());
-  std::vector<uint64_t> before = ReadDurablePsns(config);
+  run.Steps(50);
+  run.Flush();
+  run.SnapshotPsns();
   // The flush burned more simulated time than the lease window; take a few
   // more steps so the kill lands on a freshly renewed lease and the standby
   // actually has a mastership gap to refuse probes across.
-  ASSERT_TRUE(workload.RunSteps(6).ok());
+  run.Steps(6);
+  ASSERT_TRUE(run.ok()) << run.failure();
 
-  ASSERT_TRUE(system->CrashServer().ok());
-  ASSERT_TRUE(workload.Run().ok());
+  ASSERT_TRUE(system.CrashServer().ok());
+  ASSERT_TRUE(run.Run()) << run.failure();
 
-  EXPECT_EQ(system->active_server_node(), 1);
-  Metrics& m = system->metrics();
+  EXPECT_EQ(system.active_server_node(), 1);
+  Metrics& m = system.metrics();
   EXPECT_EQ(m.Get(Counter::kFailoverTakeovers), 1u);
   EXPECT_EQ(m.Get(Counter::kFailoverSwitchovers), 1u);
   // The standby refused at least one probe while the dead incumbent's lease
   // was still live, and the driver absorbed that as retryable WouldBlocks.
   EXPECT_GE(m.Get(Counter::kFailoverBlocked), 1u);
-  EXPECT_GE(workload.stats().failover_blocks, 1u);
-  EXPECT_EQ(workload.stats().zombie_fences, 0u);
-  ExpectCleanFinish(system.get(), &oracle, &workload);
-  std::vector<uint64_t> after = ReadDurablePsns(config);
-  for (size_t p = 0; p < before.size(); ++p) {
-    EXPECT_GE(after[p], before[p]) << "page " << p;
-  }
+  EXPECT_GE(run.stats().failover_blocks, 1u);
+  EXPECT_EQ(run.stats().zombie_fences, 0u);
+  EXPECT_EQ(run.Verify(), "");
 }
 
 TEST(FailoverTest, PartitionedOldPrimaryIsFenced) {
-  SystemConfig config = FailoverConfig("failover_split_brain");
-  auto system = System::Create(config).value();
-  Oracle oracle;
-  Workload workload(system.get(), &oracle, FailoverOptions(13));
-
-  ASSERT_TRUE(workload.RunSteps(40).ok());
+  ScenarioRun<> run(FailoverConfig("failover_split_brain"),
+                    FailoverOptions(13));
+  System* system = &run.system();
+  run.Steps(40);
 
   // Cut node 0 off from both the clients and the arbiter. It still holds a
   // lease, so the standby's first probes are refused (kFailoverInProgress)
   // until the shared horizon passes -- split-brain exposure is exactly the
   // lease window, during which the old primary receives no requests anyway.
   ASSERT_TRUE(system->PartitionServerNode(0, true).ok());
-  ASSERT_TRUE(workload.Run().ok());
+  ASSERT_TRUE(run.Run()) << run.failure();
   EXPECT_EQ(system->active_server_node(), 1);
   Metrics& m = system->metrics();
   EXPECT_EQ(m.Get(Counter::kFailoverTakeovers), 1u);
-  EXPECT_GE(workload.stats().failover_blocks, 1u);
+  EXPECT_GE(run.stats().failover_blocks, 1u);
 
   // Heal the partition. The deposed node's next admission check discovers
   // the new epoch and self-fences: every data-plane request is rejected.
   ASSERT_TRUE(system->PartitionServerNode(0, false).ok());
   const uint64_t fenced_before = m.Get(Counter::kFailoverDeposedFenced);
   Server& deposed = system->server_node(0);
-  for (uint32_t c = 0; c < config.num_clients; ++c) {
+  for (uint32_t c = 0; c < run.config().num_clients; ++c) {
     Status st = deposed.Call(ClientId(c), wire::Heartbeat{});
     EXPECT_TRUE(st.IsFailoverInProgress()) << st.ToString();
   }
@@ -184,32 +151,30 @@ TEST(FailoverTest, PartitionedOldPrimaryIsFenced) {
   EXPECT_EQ(m.Get(Counter::kFailoverReplEpochRejected), rejected_before + 1);
   EXPECT_EQ(system->server_node(1).ReplicatedDeadCountForTest(), 0u);
 
-  ExpectCleanFinish(system.get(), &oracle, &workload);
+  EXPECT_EQ(run.Verify(), "");
 }
 
 TEST(FailoverTest, DoubleFailoverFallsBackToFirstNode) {
-  SystemConfig config = FailoverConfig("failover_double");
-  auto system = System::Create(config).value();
-  Oracle oracle;
-  Workload workload(system.get(), &oracle, FailoverOptions(17));
-
-  ASSERT_TRUE(workload.RunSteps(30).ok());
-  ASSERT_TRUE(system->CrashServer().ok());
-  ASSERT_TRUE(workload.RunSteps(120).ok());
+  ScenarioRun<> run(FailoverConfig("failover_double"), FailoverOptions(17));
+  System* system = &run.system();
+  run.Steps(30);
+  run.CrashServer();
+  run.Steps(120);
+  ASSERT_TRUE(run.ok()) << run.failure();
   ASSERT_EQ(system->active_server_node(), 1);
 
   // Re-provision the dead first node as a cold standby, then kill the new
   // primary: service must fall back, under a fresh (third) epoch.
   ASSERT_TRUE(system->RecoverServer().ok());
   ASSERT_TRUE(system->CrashServer().ok());
-  ASSERT_TRUE(workload.Run().ok());
+  ASSERT_TRUE(run.Run()) << run.failure();
 
   EXPECT_EQ(system->active_server_node(), 0);
   Metrics& m = system->metrics();
   EXPECT_EQ(m.Get(Counter::kFailoverTakeovers), 2u);
   EXPECT_EQ(m.Get(Counter::kFailoverSwitchovers), 2u);
   EXPECT_GE(system->mastership()->epoch(), 3u);
-  ExpectCleanFinish(system.get(), &oracle, &workload);
+  EXPECT_EQ(run.Verify(), "");
 }
 
 TEST(FailoverTest, ColdStandbyRefusesOrderedFetch) {
@@ -249,56 +214,19 @@ TEST(FailoverTest, StandbyLeaseExpiryFallsBackWithoutTraffic) {
 // Defaults-off byte identity.
 // ---------------------------------------------------------------------------
 
-struct RunFingerprint {
-  uint64_t total_messages = 0;
-  uint64_t total_items = 0;
-  uint64_t total_bytes = 0;
-  uint64_t sim_us = 0;
-  uint64_t commits = 0;
-  std::string log_bytes;
-
-  friend bool operator==(const RunFingerprint&,
-                         const RunFingerprint&) = default;
-};
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-RunFingerprint RunSeededWorkload(const SystemConfig& config) {
-  auto system = System::Create(config).value();
-  Oracle oracle;
-  Workload workload(system.get(), &oracle, FailoverOptions(99));
-  EXPECT_TRUE(workload.Run().ok());
-  auto mismatches = oracle.Verify(system.get(), 0);
-  EXPECT_TRUE(mismatches.ok());
-  EXPECT_EQ(mismatches.value(), 0u);
-
-  RunFingerprint fp;
-  fp.total_messages = system->channel().total_messages();
-  fp.total_items = system->channel().total_items();
-  fp.total_bytes = system->channel().total_bytes();
-  fp.sim_us = system->clock().now_us();
-  fp.commits = system->client(0).commits();
-  fp.log_bytes = ReadFile(config.dir + "/client0.log");
-  EXPECT_FALSE(fp.log_bytes.empty());
-  return fp;
-}
-
 // With hot_standby off there is no standby, no router, and no mastership
 // table: the auxiliary knobs must be completely inert -- same message
 // counts, same simulated clock, same client log bytes.
 TEST(FailoverTest, DefaultsOffFingerprintIsByteIdentical) {
-  SystemConfig defaults = SmallConfig("failover_fp_default");
-  RunFingerprint base = RunSeededWorkload(defaults);
+  Scenario s;
+  s.config = SmallConfig("failover_fp_default");
+  s.workload = FailoverOptions(99);
+  Fingerprint base = ExpectFingerprint(s);
 
-  SystemConfig tuned = SmallConfig("failover_fp_tuned");
-  tuned.mastership_lease_us = 123;
-  tuned.failover_timeout_us = 999999;
-  RunFingerprint off = RunSeededWorkload(tuned);
+  s.config = SmallConfig("failover_fp_tuned");
+  s.config.mastership_lease_us = 123;
+  s.config.failover_timeout_us = 999999;
+  Fingerprint off = ExpectFingerprint(s);
 
   EXPECT_EQ(base, off);
 }

@@ -7,15 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/oracle.h"
-#include "core/system.h"
-#include "core/workload.h"
-#include "tests/test_util.h"
+#include "tests/scenario.h"
 
 namespace finelog {
 namespace {
@@ -132,68 +127,18 @@ TEST(GroupCommitTest, CrashBeforeTheForceLosesTheGroup) {
   ASSERT_TRUE(system->client(0).Commit(probe).ok());
 }
 
-// Observable fingerprint of one workload run: every channel/message number,
-// force counts, commit counts, and the exact bytes of the client's log.
-struct RunFingerprint {
-  uint64_t total_messages = 0;
-  uint64_t total_items = 0;
-  uint64_t total_bytes = 0;
-  uint64_t sim_us = 0;
-  uint64_t forces = 0;
-  uint64_t commits = 0;
-  std::string log_bytes;
-
-  friend bool operator==(const RunFingerprint&,
-                         const RunFingerprint&) = default;
-};
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-RunFingerprint RunSeededWorkload(const SystemConfig& config) {
-  auto system = System::Create(config).value();
-  Oracle oracle;
-  WorkloadOptions options;
-  options.txns_per_client = 8;
-  options.ops_per_txn = 4;
-  options.write_fraction = 0.7;
-  options.pattern = AccessPattern::kHotCold;
-  options.seed = 99;
-  Workload workload(system.get(), &oracle, options);
-  EXPECT_TRUE(workload.Run().ok());
-  auto mismatches = oracle.Verify(system.get(), 0);
-  EXPECT_TRUE(mismatches.ok());
-  EXPECT_EQ(mismatches.value(), 0u);
-
-  RunFingerprint fp;
-  fp.total_messages = system->channel().total_messages();
-  fp.total_items = system->channel().total_items();
-  fp.total_bytes = system->channel().total_bytes();
-  fp.sim_us = system->clock().now_us();
-  fp.forces = system->client(0).log().force_count();
-  fp.commits = system->client(0).commits();
-  fp.log_bytes = ReadFile(config.dir + "/client0.log");
-  EXPECT_FALSE(fp.log_bytes.empty());
-  return fp;
-}
-
 // The regression that keeps the feature honest: with the knobs at their
 // defaults (group_commit_window = 0, max_batch_items = 1), a seeded workload
 // must behave *identically* to the pre-feature code -- same message counts,
 // same simulated time, same log, byte for byte.
 TEST(GroupCommitTest, DisabledKnobsReproduceUngroupedBehaviorExactly) {
-  SystemConfig defaults = SmallConfig("gc_parity_default");
-  RunFingerprint base = RunSeededWorkload(defaults);
+  Fingerprint base = ExpectFingerprint(SmallConfig("gc_parity_default"));
 
   SystemConfig explicit_off = SmallConfig("gc_parity_explicit");
   explicit_off.group_commit_window = 0;
   explicit_off.group_commit_max_txns = 8;
   explicit_off.max_batch_items = 1;
-  RunFingerprint off = RunSeededWorkload(explicit_off);
+  Fingerprint off = ExpectFingerprint(explicit_off);
   EXPECT_EQ(base, off);
 
   // Sanity anchors: the ungrouped run forces at least once per commit, and
@@ -206,29 +151,18 @@ TEST(GroupCommitTest, DisabledKnobsReproduceUngroupedBehaviorExactly) {
 // aggressive group-commit window ends with the same committed data and
 // fewer forces.
 TEST(GroupCommitTest, GroupingPreservesResultsWithFewerForces) {
-  SystemConfig base_config = SmallConfig("gc_equiv_base");
-  RunFingerprint base = RunSeededWorkload(base_config);
+  Fingerprint base = ExpectFingerprint(SmallConfig("gc_equiv_base"));
 
   SystemConfig grouped_config = SmallConfig("gc_equiv_grouped");
   grouped_config.group_commit_window = 1000ull * 1000 * 1000;
   grouped_config.group_commit_max_txns = 8;
-  auto system = System::Create(grouped_config).value();
-  Oracle oracle;
-  WorkloadOptions options;
-  options.txns_per_client = 8;
-  options.ops_per_txn = 4;
-  options.write_fraction = 0.7;
-  options.pattern = AccessPattern::kHotCold;
-  options.seed = 99;
-  Workload workload(system.get(), &oracle, options);
-  ASSERT_TRUE(workload.Run().ok());
-  for (size_t i = 0; i < system->num_clients(); ++i) {
-    ASSERT_TRUE(system->client(i).FlushCommitGroup().ok());
+  ScenarioRun<> run(grouped_config, SeededWorkload(8, 99));
+  ASSERT_TRUE(run.Run()) << run.failure();
+  for (size_t i = 0; i < run.system().num_clients(); ++i) {
+    ASSERT_TRUE(run.system().client(i).FlushCommitGroup().ok());
   }
-  auto mismatches = oracle.Verify(system.get(), 0);
-  ASSERT_TRUE(mismatches.ok());
-  EXPECT_EQ(mismatches.value(), 0u);
-  EXPECT_LT(system->client(0).log().force_count(), base.forces);
+  EXPECT_EQ(run.Verify(/*flush=*/false), "");
+  EXPECT_LT(run.system().client(0).log().force_count(), base.forces);
 }
 
 }  // namespace

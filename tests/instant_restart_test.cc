@@ -15,15 +15,9 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 
-#include "core/oracle.h"
-#include "core/system.h"
-#include "core/workload.h"
-#include "tests/test_util.h"
-#include "util/fault.h"
+#include "tests/scenario.h"
 
 namespace finelog {
 namespace {
@@ -259,74 +253,39 @@ TEST_F(InstantRestartTest, ComplexCrashDefersReplayUntilClientRestart) {
 // Defaults fingerprint: feature off means byte-identical behavior.
 // ---------------------------------------------------------------------------
 
-struct RunFingerprint {
-  uint64_t total_messages = 0;
-  uint64_t total_items = 0;
-  uint64_t total_bytes = 0;
-  uint64_t sim_us = 0;
-  uint64_t commits = 0;
-  std::string log_bytes;
-
-  friend bool operator==(const RunFingerprint&,
-                         const RunFingerprint&) = default;
-};
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 // Seeded workload with a mid-run server crash + eager recovery, so the
 // fingerprint covers the exact code paths instant restart rewires.
-RunFingerprint RunSeededWorkload(const SystemConfig& config) {
-  auto system = System::Create(config).value();
-  Oracle oracle;
-  WorkloadOptions options;
-  options.txns_per_client = 8;
-  options.ops_per_txn = 4;
-  options.write_fraction = 0.7;
-  options.pattern = AccessPattern::kHotCold;
-  options.seed = 2026;
-  Workload workload(system.get(), &oracle, options);
-  auto mid = workload.RunSteps(20);
-  EXPECT_TRUE(mid.ok()) << mid.status().ToString();
-  EXPECT_TRUE(system->CrashServer().ok());
-  EXPECT_TRUE(system->RecoverAll().ok());
-  EXPECT_TRUE(workload.Run().ok());
-  EXPECT_EQ(workload.stats().read_mismatches, 0u);
-  auto mismatches = oracle.Verify(system.get(), 0);
-  EXPECT_TRUE(mismatches.ok());
-  EXPECT_EQ(mismatches.value(), 0u);
+Fingerprint EagerRestartFingerprint(SystemConfig config) {
+  ScenarioRun<> run(std::move(config), SeededWorkload(8, 2026));
+  run.Steps(20);
+  run.SnapshotPsns();
+  run.CrashServer();
+  run.RecoverAll();
+  run.Run("resume");
+  EXPECT_EQ(run.Verify(/*flush=*/false), "");
 
   // An eager restart marks pages like an instant one, then drains the whole
   // backlog before admission opens: nothing is left for a demand repair.
-  EXPECT_EQ(system->RecoveryPagesPending(), 0u);
-  EXPECT_GT(system->metrics().Get(Counter::kRecoveryPagesMarked), 0u);
-  EXPECT_EQ(system->metrics().Get(Counter::kRecoveryDemandRepairs), 0u);
-  EXPECT_EQ(system->metrics().Get(Counter::kRecoverySweepRepairs),
-            system->metrics().Get(Counter::kRecoveryPagesMarked));
+  const Metrics& m = run.system().metrics();
+  EXPECT_EQ(run.system().RecoveryPagesPending(), 0u);
+  EXPECT_GT(m.Get(Counter::kRecoveryPagesMarked), 0u);
+  EXPECT_EQ(m.Get(Counter::kRecoveryDemandRepairs), 0u);
+  EXPECT_EQ(m.Get(Counter::kRecoverySweepRepairs),
+            m.Get(Counter::kRecoveryPagesMarked));
 
-  RunFingerprint fp;
-  fp.total_messages = system->channel().total_messages();
-  fp.total_items = system->channel().total_items();
-  fp.total_bytes = system->channel().total_bytes();
-  fp.sim_us = system->clock().now_us();
-  fp.commits = system->client(0).commits();
-  fp.log_bytes = ReadFile(config.dir + "/client0.log");
+  Fingerprint fp = run.TakeFingerprint();
   EXPECT_FALSE(fp.log_bytes.empty());
   return fp;
 }
 
 TEST(InstantRestartFingerprintTest, DefaultsAreByteIdenticalWithFeatureOff) {
-  RunFingerprint base = RunSeededWorkload(SmallConfig("ir_fp_base"));
+  Fingerprint base = EagerRestartFingerprint(SmallConfig("ir_fp_base"));
 
   // A config that has heard of every new knob -- but with instant_restart
   // still off -- must not change one byte or one simulated microsecond.
   SystemConfig tuned = SmallConfig("ir_fp_tuned");
   tuned.instant_restart = false;
-  RunFingerprint with_knobs = RunSeededWorkload(tuned);
+  Fingerprint with_knobs = EagerRestartFingerprint(tuned);
 
   EXPECT_EQ(base, with_knobs);
 }

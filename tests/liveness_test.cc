@@ -11,17 +11,12 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "common/status.h"
-#include "core/oracle.h"
-#include "core/system.h"
-#include "core/workload.h"
 #include "log/log_record.h"
 #include "server/liveness.h"
-#include "tests/test_util.h"
+#include "tests/scenario.h"
 #include "util/metrics.h"
 
 namespace finelog {
@@ -115,54 +110,18 @@ TEST(LivenessTableTest, LeaseStateMachine) {
 // Defaults fingerprint: heartbeats off means byte-identical behavior.
 // ---------------------------------------------------------------------------
 
-struct RunFingerprint {
-  uint64_t total_messages = 0;
-  uint64_t total_items = 0;
-  uint64_t total_bytes = 0;
-  uint64_t sim_us = 0;
-  uint64_t commits = 0;
-  std::string log_bytes;
-
-  friend bool operator==(const RunFingerprint&,
-                         const RunFingerprint&) = default;
-};
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-RunFingerprint RunSeededWorkload(const SystemConfig& config) {
-  auto system = System::Create(config).value();
-  Oracle oracle;
-  WorkloadOptions options;
-  options.txns_per_client = 8;
-  options.ops_per_txn = 4;
-  options.write_fraction = 0.7;
-  options.pattern = AccessPattern::kHotCold;
-  options.seed = 99;
-  Workload workload(system.get(), &oracle, options);
-  EXPECT_TRUE(workload.Run().ok());
-  auto mismatches = oracle.Verify(system.get(), 0);
-  EXPECT_TRUE(mismatches.ok());
-  EXPECT_EQ(mismatches.value(), 0u);
-
-  RunFingerprint fp;
-  fp.total_messages = system->channel().total_messages();
-  fp.total_items = system->channel().total_items();
-  fp.total_bytes = system->channel().total_bytes();
-  fp.sim_us = system->clock().now_us();
-  fp.commits = system->client(0).commits();
-  fp.log_bytes = ReadFile(config.dir + "/client0.log");
-  EXPECT_FALSE(fp.log_bytes.empty());
-  EXPECT_EQ(system->metrics().Get(Counter::kLivenessHeartbeatsSent), 0u);
-  return fp;
+// Heartbeats off: not one heartbeat is sent.
+Fingerprint ExpectSilentFingerprint(SystemConfig config) {
+  Scenario s;
+  s.config = std::move(config);
+  s.inspect = [](System& system) {
+    EXPECT_EQ(system.metrics().Get(Counter::kLivenessHeartbeatsSent), 0u);
+  };
+  return ExpectFingerprint(s);
 }
 
 TEST(LivenessTest, DefaultsFingerprintIsByteIdentical) {
-  RunFingerprint base = RunSeededWorkload(SmallConfig("liveness_fp_base"));
+  Fingerprint base = ExpectSilentFingerprint(SmallConfig("liveness_fp_base"));
 
   // A config that has heard of every liveness knob -- but with heartbeats
   // still at their default (off) -- must not change one byte or one
@@ -171,7 +130,7 @@ TEST(LivenessTest, DefaultsFingerprintIsByteIdentical) {
   SystemConfig tuned = SmallConfig("liveness_fp_tuned");
   tuned.heartbeat_interval_us = 0;
   tuned.lease_duration_us = 777777;
-  RunFingerprint with_knobs = RunSeededWorkload(tuned);
+  Fingerprint with_knobs = ExpectSilentFingerprint(tuned);
 
   EXPECT_EQ(base, with_knobs);
 }

@@ -21,11 +21,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/oracle.h"
-#include "core/system.h"
-#include "core/workload.h"
-#include "tests/test_util.h"
-#include "util/fault.h"
+#include "tests/scenario.h"
 
 namespace finelog {
 namespace {
@@ -35,37 +31,12 @@ constexpr uint64_t kWorkloadSeed = 4242;
 // Small caches force ships, evictions and flush notifications, so the
 // workload crosses every endpoint family.
 SystemConfig NetConfig(const std::string& name, const NetFaultConfig& net) {
-  SystemConfig config = SmallConfig(name);
-  config.client_cache_pages = 4;
-  config.server_cache_pages = 8;
+  SystemConfig config = SmallCacheConfig(name);
   config.net_faults = net;
   return config;
 }
 
-WorkloadOptions NetWorkload() {
-  WorkloadOptions options;
-  options.txns_per_client = 6;
-  options.ops_per_txn = 4;
-  options.write_fraction = 0.7;
-  options.pattern = AccessPattern::kHotCold;
-  options.seed = kWorkloadSeed;
-  return options;
-}
-
-Result<std::string> ProbeRead(System* system, ObjectId oid) {
-  for (int attempt = 0; attempt < 50; ++attempt) {
-    auto txn = system->client(0).Begin();
-    if (!txn.ok()) return txn.status();
-    auto got = system->client(0).Read(txn.value(), oid);
-    if (got.ok()) {
-      FINELOG_RETURN_IF_ERROR(system->client(0).Commit(txn.value()));
-      return got;
-    }
-    FINELOG_RETURN_IF_ERROR(system->client(0).Abort(txn.value()));
-    if (!got.status().IsWouldBlock()) return got.status();
-  }
-  return Status::Internal("probe read never granted");
-}
+WorkloadOptions NetWorkload() { return SeededWorkload(6, kWorkloadSeed); }
 
 // Every preloaded object's committed value, concatenated. Run on a healed,
 // quiescent system; equality of digests is equality of database state.

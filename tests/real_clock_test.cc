@@ -18,9 +18,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,7 +27,7 @@
 #include "core/system.h"
 #include "core/workload.h"
 #include "log/log_sink.h"
-#include "tests/test_util.h"
+#include "tests/scenario.h"
 
 namespace finelog {
 namespace {
@@ -501,65 +499,17 @@ INSTANTIATE_TEST_SUITE_P(BothModes, ExecModeTest,
 // Simulation parity: the real-clock feature must not move the oracle.
 // ---------------------------------------------------------------------------
 
-struct RunFingerprint {
-  uint64_t total_messages = 0;
-  uint64_t total_items = 0;
-  uint64_t total_bytes = 0;
-  uint64_t sim_us = 0;
-  uint64_t forces = 0;
-  uint64_t commits = 0;
-  std::string log_bytes;
-
-  friend bool operator==(const RunFingerprint&,
-                         const RunFingerprint&) = default;
-};
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-RunFingerprint RunSeededWorkload(const SystemConfig& config) {
-  auto system = System::Create(config).value();
-  Oracle oracle;
-  WorkloadOptions options;
-  options.txns_per_client = 8;
-  options.ops_per_txn = 4;
-  options.write_fraction = 0.7;
-  options.pattern = AccessPattern::kHotCold;
-  options.seed = 99;
-  Workload workload(system.get(), &oracle, options);
-  EXPECT_TRUE(workload.Run().ok());
-  auto mismatches = oracle.Verify(system.get(), 0);
-  EXPECT_TRUE(mismatches.ok());
-  EXPECT_EQ(mismatches.value(), 0u);
-
-  RunFingerprint fp;
-  fp.total_messages = system->channel().total_messages();
-  fp.total_items = system->channel().total_items();
-  fp.total_bytes = system->channel().total_bytes();
-  fp.sim_us = system->clock().now_us();
-  fp.forces = system->client(0).log().force_count();
-  fp.commits = system->client(0).commits();
-  fp.log_bytes = ReadFile(config.dir + "/client0.log");
-  EXPECT_FALSE(fp.log_bytes.empty());
-  return fp;
-}
-
 // The regression that keeps the tentpole honest: with exec_mode at its
 // default, a seeded workload must behave *identically* to an explicit
 // kSimulated run -- same message counts, same simulated time, same client
 // log, byte for byte. The recursive SimMutex, the virtual clock and the
 // null transport/sink must all be invisible to the schedule.
 TEST(RealClockFingerprintTest, SimulatedScheduleIsByteIdentical) {
-  SystemConfig defaults = SmallConfig("rc_parity_default");
-  RunFingerprint base = RunSeededWorkload(defaults);
+  Fingerprint base = ExpectFingerprint(SmallConfig("rc_parity_default"));
 
   SystemConfig explicit_sim = SmallConfig("rc_parity_explicit");
   explicit_sim.exec_mode = ExecMode::kSimulated;
-  RunFingerprint sim = RunSeededWorkload(explicit_sim);
+  Fingerprint sim = ExpectFingerprint(explicit_sim);
   EXPECT_EQ(base, sim);
 
   // And the simulation never touches a durable sink: the volatility

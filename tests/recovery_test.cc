@@ -306,6 +306,31 @@ TEST_F(RecoveryTest, UncommittedDataAtServerRolledBackAfterServerCrash) {
   EXPECT_EQ(ReadCommitted(1, ObjectId{PageId(14), 0}), v_old);
 }
 
+TEST_F(RecoveryTest, ServerCrashWithNeverWrittenPageBelowEof) {
+  // Writing page 17 before page 16 leaves a zero-filled gap in the page
+  // file. Restart must read the gap as "not on disk", not as a corrupt
+  // page, and rebuild page 16 from client 0's log.
+  Start("sc_page_gap");
+  Client& c0 = system_->client(0);
+  TxnId txn = c0.Begin().value();
+  auto p16 = c0.AllocatePage(txn);
+  auto p17 = c0.AllocatePage(txn);
+  ASSERT_TRUE(p16.ok()) << p16.status().ToString();
+  ASSERT_TRUE(p17.ok()) << p17.status().ToString();
+  ASSERT_EQ(p16.value(), PageId(16));
+  ASSERT_EQ(p17.value(), PageId(17));
+  auto oid = c0.Create(txn, p16.value(), "below the gap");
+  ASSERT_TRUE(oid.ok()) << oid.status().ToString();
+  ASSERT_TRUE(c0.Create(txn, p17.value(), "above the gap").ok());
+  ASSERT_TRUE(c0.Commit(txn).ok());
+  ASSERT_TRUE(
+      system_->server().Call(ClientId(0), wire::ForcePage{PageId(17)}).ok());
+  ASSERT_TRUE(system_->CrashServer().ok());
+  Status st = system_->RecoverAll();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(ReadCommitted(1, oid.value()), "below the gap");
+}
+
 // ---------------------------------------------------------------------------
 // Complex crash (Section 3.5)
 // ---------------------------------------------------------------------------

@@ -21,12 +21,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
-#include "core/oracle.h"
-#include "core/system.h"
-#include "core/workload_gen.h"
-#include "tests/test_util.h"
+#include "tests/scenario.h"
 #include "util/metrics.h"
 
 namespace finelog {
@@ -46,16 +42,9 @@ NetFaultConfig LightMix() {
   return net;
 }
 
-SystemConfig SoakConfig(const std::string& dir) {
-  SystemConfig config;
-  config.dir = dir;
+SystemConfig SoakConfig() {
+  SystemConfig config = SmallCacheConfig("soak_chaos");
   config.num_clients = 4;
-  config.page_size = 2048;
-  config.num_pages = 64;
-  config.preloaded_pages = 16;
-  config.objects_per_page = 8;
-  config.object_size = 64;
-  config.client_cache_pages = 4;
   config.server_cache_pages = 16;
   config.heartbeat_interval_us = 2000;
   // Sized like the partition sweep: one fully-burned RPC against the
@@ -100,78 +89,76 @@ uint64_t TotalQuota(const WorkloadGenOptions& options) {
 }
 
 TEST(SoakChaosTest, ContinuousChaosSoakPreservesInvariants) {
-  SystemConfig config = SoakConfig(MakeTempDir("soak_chaos"));
-  auto system = System::Create(config).value();
-  Metrics& m = system->metrics();
-  Oracle oracle;
-  WorkloadGenOptions options = SoakPhases();
-  WorkloadGen gen(system.get(), &oracle, options);
+  const WorkloadGenOptions options = SoakPhases();
+  ScenarioRun<WorkloadGen> run(SoakConfig(), options);
+  System& system = run.system();
+  WorkloadGen& gen = run.driver();
+  const uint32_t clients = run.config().num_clients;
+  Metrics& m = system.metrics();
   const ClientId dead_id(static_cast<uint32_t>(kPartitionedClient));
 
   // --- Healthy warmup, then a durable-PSN baseline. ---
-  ASSERT_TRUE(gen.RunSteps(32).ok());
-  ASSERT_TRUE(system->FlushEverything().ok());
-  std::vector<uint64_t> before = ReadDurablePsns(config);
+  run.Steps(32);
+  run.Flush();
+  run.SnapshotPsns();
+  ASSERT_TRUE(run.ok()) << run.failure();
 
   // --- Lossy wire for the rest of the soak. ---
-  system->rpc().faults() = LightMix();
-  for (int round = 0; round < 10; ++round) {
-    ASSERT_TRUE(gen.RunSteps(config.num_clients).ok());
-  }
+  system.rpc().faults() = LightMix();
+  for (int round = 0; round < 10; ++round) run.Steps(clients);
+  ASSERT_TRUE(run.ok()) << run.failure();
   ASSERT_EQ(gen.current_phase(), 0u);
 
   // --- Partition one client mid-phase; drive to presumed-dead. ---
   NetFaultConfig partitioned = LightMix();
   partitioned.partitioned_clients = {
       static_cast<uint32_t>(kPartitionedClient)};
-  system->rpc().faults() = partitioned;
+  system.rpc().faults() = partitioned;
 
   bool declared = false;
-  for (int round = 0; round < 100 && !declared; ++round) {
-    ASSERT_TRUE(gen.RunSteps(config.num_clients).ok());
-    declared = system->server().IsPresumedDead(dead_id);
+  for (int round = 0; round < 100 && !declared && run.ok(); ++round) {
+    run.Steps(clients);
+    declared = system.server().IsPresumedDead(dead_id);
   }
+  ASSERT_TRUE(run.ok()) << run.failure();
   ASSERT_TRUE(declared) << "lease never expired under partition";
-  EXPECT_FALSE(system->server().IsPresumedDead(ClientId(0)));
-  EXPECT_FALSE(system->server().IsPresumedDead(
+  EXPECT_FALSE(system.server().IsPresumedDead(ClientId(0)));
+  EXPECT_FALSE(system.server().IsPresumedDead(
       ClientId(static_cast<uint32_t>(kCrashedClient))));
   ASSERT_EQ(gen.current_phase(), 0u)
       << "declaration escaped the long mixed phase; grow its quota";
 
   // --- Heal. The returning client must still be fenced, then recover. ---
-  system->rpc().faults() = LightMix();
-  auto zombie = system->client(kPartitionedClient).Begin();
+  system.rpc().faults() = LightMix();
+  auto zombie = system.client(kPartitionedClient).Begin();
   ASSERT_FALSE(zombie.ok());
   EXPECT_TRUE(zombie.status().IsZombieFenced());
-  ASSERT_TRUE(system->RecoverZombie(kPartitionedClient).ok());
+  ASSERT_TRUE(system.RecoverZombie(kPartitionedClient).ok());
   gen.OnClientRecovered(kPartitionedClient);
   EXPECT_GE(m.Get(Counter::kLivenessRecoveredZombies), 1u);
 
   // --- Drive into the merge storm, then crash a client mid-storm. ---
   int rounds = 0;
-  while (gen.current_phase() == 0) {
-    ASSERT_TRUE(gen.RunSteps(config.num_clients).ok());
+  while (gen.current_phase() == 0 && run.ok()) {
+    run.Steps(clients);
     ASSERT_LT(++rounds, 4000) << "phase 0 never drained";
   }
+  ASSERT_TRUE(run.ok()) << run.failure();
   ASSERT_EQ(gen.current_phase(), 1u);
-  ASSERT_TRUE(system->CrashClient(kCrashedClient).ok());
-  oracle.CrashClient(ClientId(static_cast<uint32_t>(kCrashedClient)));
-  gen.OnClientCrashed(kCrashedClient);
+  ASSERT_TRUE(run.CrashClient(kCrashedClient)) << run.failure();
 
   // Survivors keep storming against the crashed client's quarantined
   // pages for a couple of rounds (bounded WouldBlock churn), then the
   // client recovers via ordinary crash recovery and rejoins.
-  ASSERT_TRUE(gen.RunSteps(2 * config.num_clients).ok());
-  ASSERT_TRUE(system->RecoverClient(kCrashedClient).ok());
+  run.Steps(2 * clients);
+  ASSERT_TRUE(run.ok()) << run.failure();
+  ASSERT_TRUE(system.RecoverClient(kCrashedClient).ok());
   gen.OnClientRecovered(kCrashedClient);
 
   // --- Drain the remaining phases under the lossy wire. ---
   bool complete = gen.done();
-  for (int i = 0; i < 400 && !complete; ++i) {
-    auto done = gen.RunSteps(500);
-    ASSERT_TRUE(done.ok());
-    complete = done.value();
-  }
+  for (int i = 0; i < 400 && !complete; ++i) complete = run.Steps(500);
+  ASSERT_TRUE(run.ok()) << run.failure();
   ASSERT_TRUE(complete) << "soak never drained";
 
   // --- Quotas: survivors finished everything; the interrupted clients
@@ -187,23 +174,13 @@ TEST(SoakChaosTest, ContinuousChaosSoakPreservesInvariants) {
             uint64_t{options.phases[1].txns_per_client} +
                 uint64_t{options.phases[2].txns_per_client});
 
-  WorkloadStats totals = gen.TotalWorkloadStats();
-  EXPECT_EQ(totals.read_mismatches, 0u);
-  EXPECT_GE(totals.zombie_fences, 1u)
+  EXPECT_GE(run.stats().zombie_fences, 1u)
       << "the partitioned client was never fenced by the driver";
   EXPECT_GT(m.Get(Counter::kNetPartitionDrops), 0u);
 
-  // --- Final invariants on a clean wire: zero divergence, monotone
-  // durable PSNs. ---
-  system->rpc().faults() = NetFaultConfig{};
-  ASSERT_TRUE(system->FlushEverything().ok());
-  auto mismatches = oracle.Verify(system.get(), 0);
-  ASSERT_TRUE(mismatches.ok());
-  EXPECT_EQ(mismatches.value(), 0u);
-  std::vector<uint64_t> after = ReadDurablePsns(config);
-  for (size_t p = 0; p < before.size(); ++p) {
-    EXPECT_GE(after[p], before[p]) << "durable PSN regressed on page " << p;
-  }
+  // --- Final invariants on a clean wire: zero stale reads, zero
+  // divergence, monotone durable PSNs. ---
+  EXPECT_EQ(run.Verify(), "");
 }
 
 }  // namespace

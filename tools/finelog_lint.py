@@ -54,6 +54,13 @@ Rules
                    with the request structs in src/net/endpoints.h, so no
                    endpoint body can hand-compute a message size or pick
                    its own accounting options again.
+  scenario-helpers the fault-scenario machinery lives in tests/scenario.*
+                   only (DESIGN.md sections 10 and 13): no other test file
+                   defines RunFingerprint, ReadFile, ProbeRead,
+                   AppendSummary or RunSeededWorkload, or runs its own
+                   crash-point loop (arms a fault with ArmGlobalHit).
+                   Sweeps grew one copy of these per file before the
+                   runner existed.
   bench-registry   every numeric field in a committed BENCH_*.json at the
                    repo root must be registered in tools/bench_tolerances.json
                    (as a row key or a toleranced metric), so a new bench
@@ -75,6 +82,8 @@ import os
 import re
 import sys
 
+from finelog_cpp import Violation, strip_comments_and_strings
+
 SRC_DIRS = ["src"]
 # Determinism matters wherever workloads run, not just in src/.
 DETERMINISM_DIRS = ["src", "tests", "bench", "examples"]
@@ -88,80 +97,6 @@ TOP_LEVEL_INCLUDE_DIRS = {
     "common", "util", "log", "storage", "buffer", "lock", "client", "server",
     "core", "net", "bench", "tests",
 }
-
-
-class Violation:
-    def __init__(self, path, line, rule, message):
-        self.path = path
-        self.line = line
-        self.rule = rule
-        self.message = message
-
-    def __str__(self):
-        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
-
-
-def strip_comments_and_strings(text):
-    """Blanks out comments and string/char literals, preserving line structure
-    (and preserving string literals' *positions* as spaces) so that line
-    numbers and regex column logic stay valid."""
-    out = []
-    i, n = 0, len(text)
-    state = "code"  # code | line_comment | block_comment | string | char
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if state == "code":
-            if c == "/" and nxt == "/":
-                state = "line_comment"
-                out.append("  ")
-                i += 2
-                continue
-            if c == "/" and nxt == "*":
-                state = "block_comment"
-                out.append("  ")
-                i += 2
-                continue
-            if c == '"':
-                state = "string"
-                out.append('"')
-                i += 1
-                continue
-            if c == "'":
-                state = "char"
-                out.append("'")
-                i += 1
-                continue
-            out.append(c)
-        elif state == "line_comment":
-            if c == "\n":
-                state = "code"
-                out.append(c)
-            else:
-                out.append(" ")
-        elif state == "block_comment":
-            if c == "*" and nxt == "/":
-                state = "code"
-                out.append("  ")
-                i += 2
-                continue
-            out.append("\n" if c == "\n" else " ")
-        elif state in ("string", "char"):
-            quote = '"' if state == "string" else "'"
-            if c == "\\":
-                out.append("  ")
-                i += 2
-                continue
-            if c == quote:
-                state = "code"
-                out.append(quote)
-            elif c == "\n":  # Unterminated; bail to code to stay line-stable.
-                state = "code"
-                out.append(c)
-            else:
-                out.append(" ")
-        i += 1
-    return "".join(out)
 
 
 # --- determinism -----------------------------------------------------------
@@ -338,6 +273,51 @@ def check_message_sizes(relpath, text, stripped):
                 f"`{m.group(1)}` outside src/net/; issue typed exchanges "
                 "(Rpc::Exchange / Rpc::Notify with a wire:: request struct) "
                 "so options and sizes come from net/endpoints.h"))
+    return out
+
+
+# --- scenario helpers live in tests/scenario.* -------------------------------
+
+TESTS_DIR = "tests" + os.sep
+SCENARIO_PREFIX = os.path.join("tests", "scenario.")
+SCENARIO_HELPERS_RE = re.compile(
+    r"\b(?:(?:struct|class)\s+(RunFingerprint)\b"
+    r"|(RunFingerprint|ReadFile|ProbeRead|AppendSummary|RunSeededWorkload)"
+    r"\s*\()")
+CRASH_POINT_LOOP_RE = re.compile(r"\bArmGlobalHit\s*\(")
+TRAILING_QUALIFIERS_RE = re.compile(r"\s*(?:(?:const|noexcept|override)\b\s*)*")
+
+
+def check_scenario_helpers(relpath, text, stripped):
+    del text
+    out = []
+    if not relpath.startswith(TESTS_DIR) or relpath.startswith(SCENARIO_PREFIX):
+        return out
+    for m in SCENARIO_HELPERS_RE.finditer(stripped):
+        lineno = stripped.count("\n", 0, m.start()) + 1
+        name = m.group(1) or m.group(2)
+        if m.group(2):
+            # A call is fine; a definition has its body right after the
+            # parameter list.
+            depth, i = 0, m.end() - 1
+            while i < len(stripped):
+                depth += {"(": 1, ")": -1}.get(stripped[i], 0)
+                if depth == 0:
+                    break
+                i += 1
+            after = TRAILING_QUALIFIERS_RE.match(stripped, i + 1).end()
+            if not stripped.startswith("{", after):
+                continue
+        out.append(Violation(
+            relpath, lineno, "scenario-helpers",
+            f"`{name}` defined outside tests/scenario.h; use the shared "
+            "scenario runner's copy"))
+    for m in CRASH_POINT_LOOP_RE.finditer(stripped):
+        lineno = stripped.count("\n", 0, m.start()) + 1
+        out.append(Violation(
+            relpath, lineno, "scenario-helpers",
+            "crash-point loop outside tests/scenario.h; set Scenario::hit "
+            "and call RunScenario"))
     return out
 
 
@@ -636,6 +616,7 @@ def lint_file(root, relpath, registry, determinism_only=False):
         text = fh.read()
     stripped = strip_comments_and_strings(text)
     out = check_determinism(relpath, text, stripped)
+    out += check_scenario_helpers(relpath, text, stripped)
     if determinism_only:
         return out
     out += check_fail_points(relpath, text, stripped, registry)
@@ -677,6 +658,7 @@ FIXTURES = {
     "bad_metrics_string.cc": "metrics-string-key",
     "bad_net_fail_point.cc": "net-fail-point",
     "bad_message_sizes.cc": "message-sizes",
+    "bad_scenario_helpers.cc": "scenario-helpers",
 }
 
 
@@ -688,7 +670,8 @@ def run_self_test(root):
         if not os.path.isfile(path):
             failures.append(f"fixture missing: {path}")
             continue
-        # Lint the fixture as if it lived under src/common/.
+        # Lint the fixture as if it lived under src/common/ (and under
+        # tests/ for the test-only scenario-helpers rule).
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         stripped = strip_comments_and_strings(text)
@@ -702,7 +685,9 @@ def run_self_test(root):
                + check_new_delete(pseudo, text, stripped)
                + check_page_memcpy(pseudo, text, stripped)
                + check_metrics_string_key(pseudo, text, stripped)
-               + check_include_hygiene(pseudo, text, stripped))
+               + check_include_hygiene(pseudo, text, stripped)
+               + check_scenario_helpers(os.path.join("tests", fname), text,
+                                        stripped))
         fired = {v.rule for v in got}
         if rule not in fired:
             failures.append(

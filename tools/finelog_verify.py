@@ -70,10 +70,11 @@ Rule families
 
 Frontend
 --------
-A self-contained comment/string-stripping tokenizer + scope parser builds
-the program model, driven by the repo conventions the lint already enforces
-(trailing-underscore members, CamelCase methods, repo-root-relative
-includes). It needs nothing beyond Python.
+A tokenizer + scope parser over the comment/string stripper shared with
+finelog_lint (tools/finelog_cpp.py) builds the program model, driven by the
+repo conventions the lint already enforces (trailing-underscore members,
+CamelCase methods, repo-root-relative includes). It needs nothing beyond
+Python.
 
 Usage
 -----
@@ -87,6 +88,8 @@ import argparse
 import os
 import re
 import sys
+
+from finelog_cpp import Violation, strip_comments_and_strings
 
 SRC_DIR = "src"
 NET_DIR = os.path.join("src", "net")
@@ -154,17 +157,6 @@ CPP_KEYWORDS = {
 }
 
 
-class Violation:
-    def __init__(self, path, line, rule, message):
-        self.path = path
-        self.line = line
-        self.rule = rule
-        self.message = message
-
-    def __str__(self):
-        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
-
-
 # --------------------------------------------------------------------------
 # Program model
 # --------------------------------------------------------------------------
@@ -226,68 +218,6 @@ class Program:
 # --------------------------------------------------------------------------
 # Frontend: tokenizer
 # --------------------------------------------------------------------------
-
-def strip_comments_and_strings(text):
-    """Blanks comments and string/char literal *contents*, preserving every
-    character position (same technique as finelog_lint)."""
-    out = []
-    i, n = 0, len(text)
-    state = "code"
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if state == "code":
-            if c == "/" and nxt == "/":
-                state = "line_comment"
-                out.append("  ")
-                i += 2
-                continue
-            if c == "/" and nxt == "*":
-                state = "block_comment"
-                out.append("  ")
-                i += 2
-                continue
-            if c == '"':
-                state = "string"
-                out.append('"')
-                i += 1
-                continue
-            if c == "'":
-                state = "char"
-                out.append("'")
-                i += 1
-                continue
-            out.append(c)
-        elif state == "line_comment":
-            if c == "\n":
-                state = "code"
-                out.append(c)
-            else:
-                out.append(" ")
-        elif state == "block_comment":
-            if c == "*" and nxt == "/":
-                state = "code"
-                out.append("  ")
-                i += 2
-                continue
-            out.append("\n" if c == "\n" else " ")
-        else:  # string | char
-            quote = '"' if state == "string" else "'"
-            if c == "\\":
-                out.append("  ")
-                i += 2
-                continue
-            if c == quote:
-                state = "code"
-                out.append(quote)
-            elif c == "\n":
-                state = "code"
-                out.append(c)
-            else:
-                out.append(" ")
-        i += 1
-    return "".join(out)
-
 
 TOKEN_RE = re.compile(
     r"[A-Za-z_]\w*"
