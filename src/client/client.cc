@@ -448,46 +448,36 @@ Status Client::ShipAllDirtyPages() {
   SimMutexLock lock(mu_);
   if (crashed_) return Status::Crashed("client down");
   FINELOG_RETURN_IF_ERROR(MaybeHeartbeat());
-  if (config_.max_batch_items <= 1) {
-    // During an instant restart (DESIGN.md section 18) a ship can come back
-    // degraded because the page's lazy repair was interrupted; skip that
-    // page, ship the rest, and surface the degradation at the end so one
-    // recovering page never blocks the whole flush.
-    Status deferred = Status::OK();
-    for (PageId pid : cache_->PageIds()) {
-      BufferPool::Frame* frame = cache_->Peek(pid);
-      if (frame != nullptr && frame->dirty) {
-        Status st = cache_->Evict(pid, EvictHandler());
-        if (st.IsRecoveringPage()) {
-          deferred = st;
-          continue;
-        }
-        FINELOG_RETURN_IF_ERROR(st);
-      }
-    }
-    return deferred;
-  }
-  // Batched: one WAL force covers every victim, and the page images travel
-  // in multi-page ship messages instead of one round trip per page.
   std::vector<PageId> dirty;
   for (PageId pid : cache_->PageIds()) {
     BufferPool::Frame* frame = cache_->Peek(pid);
     if (frame != nullptr && frame->dirty) dirty.push_back(pid);
   }
   if (dirty.empty()) return Status::OK();
+  // WAL (Section 2): one force covers every page shipped after it.
   FINELOG_RETURN_IF_ERROR(ForceLog());
   metrics_->Add(Counter::kClientWalForcesOnReplace);
-  const size_t limit = config_.max_batch_items;
+  // During an instant restart (DESIGN.md section 18) a ship can come back
+  // degraded because a page's lazy repair was interrupted; skip that chunk,
+  // ship the rest, and surface the degradation at the end so one recovering
+  // page never blocks the whole flush.
+  Status deferred = Status::OK();
+  const size_t limit = std::max<uint32_t>(1, config_.max_batch_items);
   for (size_t i = 0; i < dirty.size(); i += limit) {
     // One ship request per chunk. ShipPages leaves the frames clean, so
     // these evictions just drop them before the next chunk ships.
     auto chunk = std::span(dirty).subspan(i, std::min(limit, dirty.size() - i));
-    FINELOG_RETURN_IF_ERROR(ShipPages(chunk));
+    Status st = ShipPages(chunk);
+    if (st.IsRecoveringPage()) {
+      deferred = st;
+      continue;
+    }
+    FINELOG_RETURN_IF_ERROR(st);
     for (PageId pid : chunk) {
       FINELOG_RETURN_IF_ERROR(cache_->Evict(pid, EvictHandler()));
     }
   }
-  return Status::OK();
+  return deferred;
 }
 
 Status Client::FetchPages(std::span<const PageId> pids) {

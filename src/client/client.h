@@ -109,7 +109,10 @@ class FINELOG_SHARED_STATE_CLASS Client : public ClientEndpoint {
   Status TakeCheckpoint();
 
   // Ships every dirty cached page to the server (evicting it), as cache
-  // pressure eventually would. Used to reach quiescent states.
+  // pressure eventually would. Used to reach quiescent states. Forces the
+  // log once, then ships in chunks of max(1, max_batch_items) pages. A chunk
+  // that comes back RecoveringPage (instant restart) stays cached; the rest
+  // still ship and the degradation is returned at the end.
   Status ShipAllDirtyPages();
 
   // Orderly resource release (a client preparing to disconnect): ships all

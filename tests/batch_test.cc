@@ -167,6 +167,28 @@ TEST(BatchTest, BatchedShipDeliversEveryPageToTheServer) {
   }
 }
 
+TEST(BatchTest, ShipAllDirtyPagesForcesTheLogOnce) {
+  // WAL (Section 2): one force covers every page shipped after it, so the
+  // chunk size changes the number of ship exchanges but not of forces.
+  for (uint32_t batch : {1u, 4u}) {
+    SCOPED_TRACE(batch);
+    auto system =
+        System::Create(BatchConfig("batch_one_force_" + std::to_string(batch),
+                                   batch))
+            .value();
+    Client& c = system->client(0);
+    TxnId txn = c.Begin().value();
+    ASSERT_TRUE(c.WriteBatch(txn, ColdWrites('o')).ok());
+    ASSERT_TRUE(c.Commit(txn).ok());
+    uint64_t forces0 = c.log().force_count();
+    uint64_t ships0 = system->channel().stats(MessageType::kPageShip).count;
+    ASSERT_TRUE(c.ShipAllDirtyPages().ok());
+    EXPECT_EQ(c.log().force_count() - forces0, 1u);
+    EXPECT_EQ(system->channel().stats(MessageType::kPageShip).count - ships0,
+              8u / batch);
+  }
+}
+
 TEST(BatchTest, LockConflictInsideABatchSurfacesWouldBlock) {
   auto system = System::Create(BatchConfig("batch_conflict", 8)).value();
   Client& holder = system->client(1);

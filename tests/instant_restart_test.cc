@@ -7,6 +7,8 @@
 //    touched page ahead of the sweep order;
 //  - an armed interruption degrades the touch to WouldBlock(kRecoveringPage)
 //    and re-queues the page at the front of the sweep;
+//  - a flush that ships onto an interrupted repair defers that chunk and
+//    ships the rest, at any chunk size;
 //  - an armed consistency-check failure routes the page through single-page
 //    repair (drop + replay from the responsible clients' logs);
 //  - a second server crash mid-drain re-derives the backlog from scratch;
@@ -180,6 +182,41 @@ TEST_F(InstantRestartTest, InterruptedRepairDegradesAndFrontsSweepQueue) {
   EXPECT_EQ(ReadCommitted(1, ObjectId{PageId(5), 0}), values[4]);
   ASSERT_TRUE(system_->DrainRecovery().ok());
   VerifySixPages(values, 2);
+}
+
+TEST_F(InstantRestartTest, InterruptedRepairDefersOneShipChunk) {
+  // A flush that ships onto a page whose lazy repair is interrupted skips
+  // that chunk, ships the rest and reports the degradation at the end, for
+  // any chunk size.
+  for (uint32_t batch : {1u, 4u}) {
+    SCOPED_TRACE(batch);
+    FaultInjector injector;
+    SystemConfig config =
+        LazyConfig("ir_ship_chunk_" + std::to_string(batch));
+    config.max_batch_items = batch;
+    config.fault_injector = &injector;
+    Start(config);
+    std::string values[6];
+    SeedSixDirtyPages(values);
+    ASSERT_TRUE(system_->CrashServer().ok());
+    ASSERT_TRUE(system_->RecoverAll().ok());
+    std::string v = Val('q');
+    CommittedWrite(1, ObjectId{PageId(10), 0}, v);
+
+    // Hit 1 goes to the sweep step that runs before the ship; hit 2
+    // interrupts the repair of a page client 1 ships.
+    injector.ResetCounts();
+    injector.ArmPoint("recovery.server.lazy_repair", 2, FaultAction::kError,
+                      0.5);
+    Status ship = system_->client(1).ShipAllDirtyPages();
+    EXPECT_TRUE(ship.IsRecoveringPage()) << ship.ToString();
+    ASSERT_TRUE(injector.triggered());
+
+    EXPECT_EQ(ReadCommitted(2, ObjectId{PageId(10), 0}), v);
+    ASSERT_TRUE(system_->DrainRecovery().ok());
+    VerifySixPages(values, 2);
+    system_.reset();  // Before `injector` goes out of scope.
+  }
 }
 
 TEST_F(InstantRestartTest, FailedConsistencyCheckTriggersSinglePageRepair) {

@@ -1,42 +1,48 @@
 #!/usr/bin/env python3
-"""bench_gate: CI perf-regression gate over committed BENCH_*.json files.
+"""bench_gate: CI perf gate over committed BENCH_*.json files.
 
-The simulation is deterministic, so a fresh bench run on an unchanged tree
-reproduces the committed numbers exactly; the tolerance bands exist so an
-intentional, reviewed change inside the band does not force a recommit, while
-a hot-path regression beyond it fails the build.
+Sim benches are exact
+---------------------
+The sim-mode benches (E1, E11, E14, E16, E17) take every number from the
+simulated clock and the channel counters, so a fresh run on an unchanged tree
+reproduces the committed file byte for byte. A bench with no block in
+tools/bench_tolerances.json is therefore compared exactly: rows are matched by
+position, every row and every field must match the committed file, and any
+difference fails, better or worse. The report prints one line per difference:
+the row key (the shortest leading run of fields that names the row), the
+field, and the committed and fresh values.
 
-Model
------
-tools/bench_tolerances.json registers, per bench:
-  keys      -- fields that identify a row (the grid coordinates). Rows are
-               matched between committed and fresh files by key tuple; a
-               missing or extra row is an error.
-  metrics   -- measured fields, each with:
-                 rel_tol:   allowed relative change before the gate trips
-                 abs_tol:   slack for near-zero values (default 0.001)
-                 direction: "lower_better" | "higher_better" | "exact"
-                 advisory:  true for metrics that are machine-dependent
-                            (wall-clock benches): out-of-band changes are
-                            reported but never fail the gate. Structural
-                            problems (missing rows/metrics, unregistered
-                            fields) still fail even for advisory metrics.
-               Only changes in the *worse* direction fail; improvements
-               beyond the band are reported as recommit suggestions.
-Every numeric field in a committed bench row must be registered as a key or
-a metric -- an unregistered field is itself a gate failure (and is also
-enforced statically by finelog_lint's bench-registry rule), so new metrics
-cannot silently bypass the gate.
+Bands are for wall-clock benches only
+-------------------------------------
+A block in tools/bench_tolerances.json marks a wall-clock bench (E15), whose
+numbers are machine-dependent. It names:
+  keys     -- fields that identify a row; rows are matched by key tuple.
+  metrics  -- measured fields, each with a band: rel_tol, and abs_tol for
+              near-zero values (default 0.001).
+Drift beyond max(abs_tol, |base| * rel_tol) is reported as advisory and never
+fails. Structural problems still fail: a missing or extra row, a metric
+missing from the fresh run, or a numeric field registered as neither a key nor
+a metric.
+
+Re-baseline protocol
+--------------------
+A change that moves simulated behaviour on purpose does three things:
+  - it regenerates the affected BENCH_*.json files and the AccountingPinTest
+    counts;
+  - it lists in CHANGES.md each changed column and its cause;
+  - it leaves the flag-off fingerprint tests as they are.
+Any move not committed this way fails the gate.
 
 Usage
 -----
   tools/bench_gate.py --root DIR --fresh-dir DIR [--report FILE] [--only N]
       Compare fresh BENCH_*.json in --fresh-dir against the committed ones
-      at the repo root. Exit 1 on any regression/config violation.
+      at the repo root. Exit 1 on any difference or structural violation.
   tools/bench_gate.py --root DIR --self-test
       Prove the gate passes on the committed files compared against
-      themselves and fails on the seeded regressing fixture in
-      tests/bench_gate_fixtures/ (mirrors finelog_lint --self-test).
+      themselves and fails on the seeded fixture in tests/bench_gate_fixtures/
+      and on one-field edits of a committed sim row (mirrors
+      finelog_lint --self-test).
 """
 
 import argparse
@@ -44,10 +50,30 @@ import glob
 import json
 import os
 import sys
+import tempfile
 
 TOLERANCES_PATH = os.path.join("tools", "bench_tolerances.json")
 FIXTURE_DIR = os.path.join("tests", "bench_gate_fixtures")
 DEFAULT_ABS_TOL = 0.001
+
+
+def load_bench(path):
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if "bench" not in doc or not isinstance(doc.get("rows"), list):
+        raise ValueError(f"{path}: not a BENCH file (need 'bench'+'rows')")
+    return doc
+
+
+def row_labels(rows):
+    """Names each row by the shortest leading run of its fields that no other
+    row shares: bench writers emit the grid coordinates first."""
+    items = [list(row.items()) for row in rows]
+    width = 1
+    while (width < max(map(len, items), default=0)
+           and len({tuple(i[:width]) for i in items}) < len(items)):
+        width += 1
+    return [", ".join(f"{k}={v}" for k, v in i[:width]) for i in items]
 
 
 class Gate:
@@ -58,32 +84,36 @@ class Gate:
             self.config = json.load(fh)
         self.lines = []
 
-    # -- helpers ------------------------------------------------------------
-
     def log(self, line):
         self.lines.append(line)
 
-    @staticmethod
-    def load_bench(path):
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if "bench" not in doc or not isinstance(doc.get("rows"), list):
-            raise ValueError(f"{path}: not a BENCH file (need 'bench'+'rows')")
-        return doc
+    # -- exact (sim) benches --------------------------------------------------
 
     @staticmethod
-    def row_key(row, keys):
-        return tuple((k, row.get(k)) for k in keys)
+    def compare_exact(name, committed, fresh):
+        """Returns one line per differing field, missing row or extra row."""
+        base_rows, new_rows = committed["rows"], fresh["rows"]
+        labels = row_labels(base_rows)
+        diffs = []
+        for label, base, new in zip(labels, base_rows, new_rows):
+            for field in dict.fromkeys([*base, *new]):
+                old, cur = base.get(field, "missing"), new.get(field, "missing")
+                if old != cur:
+                    diffs.append(f"DIFF {name} [{label}] {field}: "
+                                 f"{old} -> {cur}")
+        for label in labels[len(new_rows):]:
+            diffs.append(f"DIFF {name} [{label}]: row missing in fresh run")
+        for i in range(len(base_rows), len(new_rows)):
+            diffs.append(f"DIFF {name} row {i}: extra row in fresh run")
+        return diffs
 
-    # -- checks -------------------------------------------------------------
+    # -- banded (wall-clock) benches ------------------------------------------
 
     def check_registration(self, name, doc):
         """Every numeric field must be a registered key or metric."""
+        spec = self.config[name]
+        known = set(spec["keys"]) | set(spec["metrics"])
         errors = []
-        spec = self.config.get(name)
-        if spec is None:
-            return [f"{name}: bench not registered in {TOLERANCES_PATH}"]
-        known = set(spec.get("keys", [])) | set(spec.get("metrics", {}))
         for i, row in enumerate(doc["rows"]):
             for field, value in row.items():
                 if isinstance(value, bool) or not isinstance(
@@ -91,64 +121,51 @@ class Gate:
                     continue  # String identity fields need no band.
                 if field not in known:
                     errors.append(
-                        f"{name} row {i}: metric '{field}' is not registered "
-                        f"in {TOLERANCES_PATH} (add it to keys or metrics)")
+                        f"ERROR {name} row {i}: metric '{field}' is not "
+                        f"registered in {TOLERANCES_PATH} (add it to keys or "
+                        "metrics)")
         return errors
 
-    def compare(self, name, committed, fresh):
-        """Returns (regressions, improvements) line lists."""
+    def compare_banded(self, name, committed, fresh):
+        """Logs out-of-band drift as advisory; returns structural errors."""
         spec = self.config[name]
-        keys = spec.get("keys", [])
-        metrics = spec.get("metrics", {})
-        regressions, improvements = [], []
+        keys = spec["keys"]
 
-        fresh_rows = {self.row_key(r, keys): r for r in fresh["rows"]}
-        committed_rows = {self.row_key(r, keys): r for r in committed["rows"]}
+        def by_key(doc):
+            return {tuple((k, r.get(k)) for k in keys): r for r in doc["rows"]}
+
+        def tag(key):
+            return ", ".join(f"{k}={v}" for k, v in key)
+
+        errors = []
+        fresh_rows, committed_rows = by_key(fresh), by_key(committed)
         for key, base_row in committed_rows.items():
-            tag = ", ".join(f"{k}={v}" for k, v in key)
             if key not in fresh_rows:
-                regressions.append(f"{name} [{tag}]: row missing in fresh run")
+                errors.append(f"ERROR {name} [{tag(key)}]: row missing in "
+                              "fresh run")
                 continue
             new_row = fresh_rows[key]
-            for metric, band in metrics.items():
+            for metric, band in spec["metrics"].items():
                 if metric not in base_row:
                     continue  # Not every bench row reports every metric.
                 if metric not in new_row:
-                    regressions.append(
-                        f"{name} [{tag}] {metric}: missing in fresh run")
+                    errors.append(f"ERROR {name} [{tag(key)}] {metric}: "
+                                  "missing in fresh run")
                     continue
                 base, new = float(base_row[metric]), float(new_row[metric])
-                rel_tol = float(band.get("rel_tol", 0.0))
-                abs_tol = float(band.get("abs_tol", DEFAULT_ABS_TOL))
-                direction = band.get("direction", "exact")
-                delta = new - base
-                allowed = max(abs_tol, abs(base) * rel_tol)
-                line = (f"{name} [{tag}] {metric}: {base:.3f} -> {new:.3f} "
-                        f"(allowed +/-{allowed:.3f})")
-                if abs(delta) <= allowed:
-                    continue
-                worse = (direction == "exact"
-                         or (direction == "lower_better" and delta > 0)
-                         or (direction == "higher_better" and delta < 0))
-                if band.get("advisory"):
-                    # Machine-dependent metric: report the drift, never fail.
-                    self.log("advisory " + line +
-                             (" -- worse, not gated" if worse
-                              else " -- better, not gated"))
-                elif worse:
-                    regressions.append("REGRESSION " + line)
-                else:
-                    improvements.append("improvement " + line +
-                                        " -- consider recommitting")
+                allowed = max(float(band.get("abs_tol", DEFAULT_ABS_TOL)),
+                              abs(base) * float(band.get("rel_tol", 0.0)))
+                if abs(new - base) > allowed:
+                    self.log(f"advisory {name} [{tag(key)}] {metric}: "
+                             f"{base:.3f} -> {new:.3f} "
+                             f"(allowed +/-{allowed:.3f}), not gated")
         for key in fresh_rows:
             if key not in committed_rows:
-                tag = ", ".join(f"{k}={v}" for k, v in key)
-                regressions.append(
-                    f"{name} [{tag}]: new row not in committed file "
-                    "(recommit the BENCH json)")
-        return regressions, improvements
+                errors.append(f"ERROR {name} [{tag(key)}]: new row not in "
+                              "committed file (recommit the BENCH json)")
+        return errors
 
-    # -- entry points -------------------------------------------------------
+    # -- entry point ----------------------------------------------------------
 
     def run(self, fresh_dir, only=None):
         committed = sorted(glob.glob(os.path.join(self.root, "BENCH_*.json")))
@@ -157,40 +174,43 @@ class Gate:
             return 1
         failures = 0
         for path in committed:
-            fname = os.path.basename(path)
-            doc = self.load_bench(path)
+            doc = load_bench(path)
             name = doc["bench"]
             if only and name != only:
                 continue
-            errors = self.check_registration(name, doc)
-            fresh_path = os.path.join(fresh_dir, fname)
+            banded = name in self.config
+            fresh_path = os.path.join(fresh_dir, os.path.basename(path))
             if not os.path.isfile(fresh_path):
-                errors.append(f"{name}: fresh file {fresh_path} missing "
-                              "(bench not run?)")
-            if errors:
-                for e in errors:
-                    self.log("ERROR " + e)
-                failures += len(errors)
-                continue
-            fresh = self.load_bench(fresh_path)
-            errors = self.check_registration(name, fresh)
-            if errors:
-                for e in errors:
-                    self.log("ERROR " + e)
-                failures += len(errors)
-                continue
-            regressions, improvements = self.compare(name, doc, fresh)
-            for line in regressions:
+                errors = [f"ERROR {name}: fresh file {fresh_path} missing "
+                          "(bench not run?)"]
+            elif banded:
+                fresh = load_bench(fresh_path)
+                errors = (self.check_registration(name, doc)
+                          + self.check_registration(name, fresh)
+                          or self.compare_banded(name, doc, fresh))
+            else:
+                errors = self.compare_exact(name, doc, load_bench(fresh_path))
+            for line in errors:
                 self.log(line)
-            for line in improvements:
-                self.log(line)
-            failures += len(regressions)
-            if not regressions:
-                self.log(f"{name}: {len(doc['rows'])} rows within bands"
-                         + (f" ({len(improvements)} improvements)"
-                            if improvements else ""))
+            failures += len(errors)
+            if not errors:
+                self.log(f"{name}: {len(doc['rows'])} rows "
+                         + ("within bands" if banded else "identical"))
         self.log(f"bench_gate: {failures} violation(s)")
         return 1 if failures else 0
+
+
+def gate_edited_row(root, fname, edit):
+    """Runs the gate on a copy of a committed BENCH file whose first row was
+    changed by `edit`; returns (exit code, report lines)."""
+    doc = load_bench(os.path.join(root, fname))
+    edit(doc["rows"][0])
+    gate = Gate(root)
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, fname), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        rc = gate.run(tmp, only=doc["bench"])
+    return rc, gate.lines
 
 
 def run_self_test(root):
@@ -204,44 +224,61 @@ def run_self_test(root):
     else:
         print("self-test ok: committed BENCH files pass against themselves")
 
-    # 2. The seeded regressing fixture must fail, on the metrics it degrades.
+    # 2. The seeded regressing fixture must fail, on the fields it changes.
     fixture_dir = os.path.join(root, FIXTURE_DIR)
     gate = Gate(root)
     rc = gate.run(fixture_dir, only="e14_contention")
     report = "\n".join(gate.lines)
     if rc == 0:
         failures.append("regressing fixture was NOT caught by the gate")
-    elif "REGRESSION" not in report:
+    elif "DIFF" not in report:
         failures.append("fixture failed for the wrong reason:\n" + report)
     else:
         print("self-test ok: seeded regressing fixture trips the gate")
 
-    # 3. An unregistered metric must be rejected.
+    # 3. A one-field edit of a sim row fails, in either direction, and so
+    # does an extra field.
+    edits = {
+        "1 us us_per_commit bump":
+            lambda r: r.update(us_per_commit=r["us_per_commit"] + 1),
+        "1 us us_per_commit improvement":
+            lambda r: r.update(us_per_commit=r["us_per_commit"] - 1),
+        "extra field in a sim row": lambda r: r.update(bogus_metric=1.0),
+    }
+    for label, edit in edits.items():
+        rc, lines = gate_edited_row(root, "BENCH_e1_commit_cost.json", edit)
+        diffs = [l for l in lines if l.startswith("DIFF")]
+        if rc == 0 or len(diffs) != 1:
+            failures.append(f"{label} was not reported as one difference:\n"
+                            + "\n".join(lines))
+        else:
+            print(f"self-test ok: {label} fails the gate")
+
+    # 4. An unregistered metric in a banded bench must be rejected.
     gate = Gate(root)
-    doc = {"bench": "e14_contention",
-           "rows": [{"clients": 4, "zipf_theta": 0.0, "bogus_metric": 1.0}]}
-    errors = gate.check_registration("e14_contention", doc)
-    if not errors:
+    doc = {"bench": "e15_realclock",
+           "rows": [{"clients": 4, "max_batch_items": 1,
+                     "group_commit_max_txns": 0, "bogus_metric": 1.0}]}
+    if not gate.check_registration("e15_realclock", doc):
         failures.append("unregistered metric was not rejected")
     else:
         print("self-test ok: unregistered metric rejected")
 
-    # 4. Advisory metrics report drift but never trip the gate.
+    # 5. Banded metrics report drift but never trip the gate.
     gate = Gate(root)
     gate.config["__advisory_fixture"] = {
         "keys": ["clients"],
-        "metrics": {"wall_ms": {"rel_tol": 0.5, "direction": "lower_better",
-                                "advisory": True}},
+        "metrics": {"wall_ms": {"rel_tol": 0.5}},
     }
     base = {"bench": "__advisory_fixture",
             "rows": [{"clients": 4, "wall_ms": 10.0}]}
     worse = {"bench": "__advisory_fixture",
              "rows": [{"clients": 4, "wall_ms": 1000.0}]}
-    regressions, _ = gate.compare("__advisory_fixture", base, worse)
+    errors = gate.compare_banded("__advisory_fixture", base, worse)
     advisories = [l for l in gate.lines if l.startswith("advisory")]
-    if regressions:
+    if errors:
         failures.append("advisory metric tripped the gate:\n"
-                        + "\n".join(regressions))
+                        + "\n".join(errors))
     elif not advisories:
         failures.append("advisory out-of-band drift was not reported")
     else:
@@ -268,7 +305,7 @@ def main():
                         help="gate only the named bench")
     parser.add_argument("--self-test", action="store_true",
                         help="verify the gate passes on committed numbers "
-                             "and catches the seeded regressing fixture")
+                             "and catches the seeded and edited fixtures")
     args = parser.parse_args()
     root = args.root or os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))

@@ -61,11 +61,6 @@ Rules
                    crash-point loop (arms a fault with ArmGlobalHit).
                    Sweeps grew one copy of these per file before the
                    runner existed.
-  bench-registry   every numeric field in a committed BENCH_*.json at the
-                   repo root must be registered in tools/bench_tolerances.json
-                   (as a row key or a toleranced metric), so a new bench
-                   metric cannot ship without a perf-gate band
-                   (tools/bench_gate.py enforces the same at gate time).
 
 Usage
 -----
@@ -76,8 +71,6 @@ Usage
 """
 
 import argparse
-import glob
-import json
 import os
 import re
 import sys
@@ -528,73 +521,6 @@ def check_would_block_sweep(root):
                               STATUS_HEADER_RELPATH, STATUS_SOURCE_RELPATH)
 
 
-# --- bench gate registry ---------------------------------------------------
-
-TOLERANCES_RELPATH = os.path.join("tools", "bench_tolerances.json")
-
-
-def check_bench_file_registered(relpath, doc, config):
-    """Core of the bench-registry rule: every numeric field of every row in
-    the BENCH document must be a registered key or metric of its bench."""
-    out = []
-    name = doc.get("bench")
-    rows = doc.get("rows")
-    if not isinstance(name, str) or not isinstance(rows, list):
-        out.append(Violation(relpath, 1, "bench-registry",
-                             "not a BENCH file (need 'bench' and 'rows')"))
-        return out
-    spec = config.get(name)
-    if spec is None:
-        out.append(Violation(
-            relpath, 1, "bench-registry",
-            f"bench {name!r} has no entry in {TOLERANCES_RELPATH}"))
-        return out
-    known = set(spec.get("keys", [])) | set(spec.get("metrics", {}))
-    for i, row in enumerate(rows):
-        for field, value in row.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            if field not in known:
-                out.append(Violation(
-                    relpath, 1, "bench-registry",
-                    f"row {i}: numeric field {field!r} is not registered in "
-                    f"{TOLERANCES_RELPATH} for bench {name!r}; the perf gate "
-                    "cannot band an unregistered metric"))
-    return out
-
-
-def check_bench_registry(root):
-    """Repo-level rule over committed BENCH_*.json (not per source file)."""
-    out = []
-    bench_files = sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
-    if not bench_files:
-        return out
-    tol_path = os.path.join(root, TOLERANCES_RELPATH)
-    if not os.path.isfile(tol_path):
-        out.append(Violation(TOLERANCES_RELPATH, 1, "bench-registry",
-                             "missing tolerance config for committed "
-                             "BENCH_*.json files"))
-        return out
-    try:
-        with open(tol_path, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except ValueError as err:
-        out.append(Violation(TOLERANCES_RELPATH, 1, "bench-registry",
-                             f"invalid JSON: {err}"))
-        return out
-    for path in bench_files:
-        relpath = os.path.relpath(path, root)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except ValueError as err:
-            out.append(Violation(relpath, 1, "bench-registry",
-                                 f"invalid JSON: {err}"))
-            continue
-        out.extend(check_bench_file_registered(relpath, doc, config))
-    return out
-
-
 # --- driver ----------------------------------------------------------------
 
 def iter_files(root, dirs, exts):
@@ -641,7 +567,6 @@ def run_lint(root):
             root, relpath, registry,
             determinism_only=relpath not in src_files))
     violations.extend(check_would_block_sweep(root))
-    violations.extend(check_bench_registry(root))
     return violations
 
 
@@ -694,25 +619,6 @@ def run_self_test(root):
                 f"{fname}: expected rule '{rule}' to fire, got {sorted(fired)}")
         else:
             print(f"self-test ok: {fname} -> {rule}")
-    # The bench-registry rule is repo-level (JSON, not C++), so its fixture
-    # is checked directly instead of through the per-file lint loop.
-    bench_fixture = os.path.join(fixture_root, "bad_bench_registry.json")
-    if not os.path.isfile(bench_fixture):
-        failures.append(f"fixture missing: {bench_fixture}")
-    else:
-        with open(bench_fixture, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        tol_path = os.path.join(root, TOLERANCES_RELPATH)
-        with open(tol_path, encoding="utf-8") as fh:
-            config = json.load(fh)
-        got = check_bench_file_registered(
-            os.path.join(FIXTURE_DIR, "bad_bench_registry.json"), doc, config)
-        if not any(v.rule == "bench-registry" for v in got):
-            failures.append(
-                "bad_bench_registry.json: expected rule 'bench-registry' "
-                "to fire")
-        else:
-            print("self-test ok: bad_bench_registry.json -> bench-registry")
     # The would-block-sweep rule pairs status.h with status.cc; its fixture
     # carries both the enum and the name table in one file, checked against
     # itself, and must fire in both drift directions.
