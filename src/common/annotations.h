@@ -2,9 +2,9 @@
 //
 // Two audiences consume these macros:
 //
-//  1. tools/finelog_verify.py -- the AST-level protocol-conformance checker
-//     (cmake target `verify`). It reads the annotations from source and
-//     enforces the rule catalog: WAL-before-mutate, admission-before-state,
+//  1. tools/finelog_check.py -- the static checker (cmake target `check`).
+//     Its program rules read the annotations from source and enforce the
+//     protocol rule catalog: WAL-before-mutate, admission-before-state,
 //     the RPC chokepoint, and the shared-state annotation discipline.
 //     For the verifier the macros are pure markers; they may expand to
 //     nothing and still do their job.
@@ -60,7 +60,7 @@
 
 // Marks a class whose every non-static data member must carry
 // FINELOG_GUARDED_BY / FINELOG_PT_GUARDED_BY or FINELOG_UNGUARDED("reason").
-// finelog-verify enforces the sweep and requires the marker itself on the
+// finelog-check enforces the sweep and requires the marker itself on the
 // core shared classes (Server, GlobalLockManager, LivenessTable, LogManager,
 // Client).
 #define FINELOG_SHARED_STATE_CLASS

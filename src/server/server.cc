@@ -876,8 +876,15 @@ Status Server::DeallocatePage(PageId pid) {
     final_psn = frame->page.psn();
     pool_->Drop(pid);
   } else {
+    // The final PSN is the lineage the space map keeps: a page that cannot
+    // be read stays allocated. Only a never-written page has none.
     Page page(config_.page_size);
-    if (disk_->ReadPage(pid, &page).ok()) final_psn = page.psn();
+    Status st = disk_->ReadPage(pid, &page);
+    if (st.ok()) {
+      final_psn = page.psn();
+    } else if (!st.IsNotFound()) {
+      return st;
+    }
   }
   metrics_->Add(Counter::kServerDeallocations);
   return space_map_->DeallocatePage(pid, final_psn);
@@ -938,8 +945,6 @@ Answer<wire::RecInstallLocks> Server::Handle(
   return accepted;
 }
 
-FINELOG_REPLAY_PATH("recovery plane: reconstructs a never-flushed page "
-                    "from its space-map allocation PSN (Section 2 / [18])")
 Answer<wire::RecFetchPage> Server::Handle(ClientId client,
                                           const wire::RecFetchPage& req) {
   const PageId pid = req.pid;
@@ -948,21 +953,9 @@ Answer<wire::RecFetchPage> Server::Handle(ClientId client,
   FINELOG_RETURN_IF_ERROR(EnsurePageRecovered(pid));
   metrics_->Add(Counter::kServerRecoveryPageFetches);
   PageFetchReply reply;
-  auto frame = GetPage(pid);
-  if (frame.ok()) {
-    reply.page_image = frame.value()->page.raw();
-  } else if (frame.status().IsNotFound()) {
-    // The page never reached the server disk and no copy survives: recovery
-    // rebuilds it from a freshly formatted page seeded with the allocation
-    // PSN from the space map (Section 2 / [18]).
-    auto base = space_map_->BasePsn(pid);
-    if (!base.ok()) return base.status();
-    Page page(config_.page_size);
-    page.Format(pid, base.value());
-    reply.page_image = page.raw();
-  } else {
-    return frame.status();
-  }
+  auto base_image = ReplayBaseImage(pid);
+  if (!base_image.ok()) return base_image.status();
+  reply.page_image = std::move(base_image).value();
   auto entry = dct_.Get(pid, client);
   if (entry && entry->psn != kNullPsn) {
     reply.dct_psn = entry->psn;

@@ -24,7 +24,7 @@ namespace finelog {
 
 // Every well-known counter, paired with its stable snapshot name. New hot
 // counters go here; Metrics::Add(std::string) is reserved for dynamic names
-// (enforced by finelog_lint's metrics-string-key rule).
+// (enforced by finelog_check's metrics-string-key rule).
 #define FINELOG_COUNTERS(X)                                                  \
   X(kClientAborts, "client.aborts")                                          \
   X(kClientBatchFetchItems, "client.batch_fetch_items")                      \

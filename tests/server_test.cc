@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 #include "core/system.h"
 #include "tests/test_util.h"
 
@@ -197,6 +199,27 @@ TEST_F(ServerTest, PageDeallocationRetainsPsnLineage) {
   ASSERT_TRUE(realloc.ok());
   EXPECT_EQ(realloc.value().page, pid.value());
   EXPECT_GT(realloc.value().initial_psn, final_psn);
+}
+
+TEST_F(ServerTest, PageDeallocationRefusesUnreadablePage) {
+  // A corrupt disk copy hides the page's final PSN. Deallocating anyway
+  // would lose the lineage the space map keeps, so the page stays allocated.
+  const PageId pid(7);
+  ASSERT_EQ(system_->server().pool().Peek(pid), nullptr);
+  {
+    std::fstream f(system_->config().dir + "/db.pages",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    const auto off = static_cast<std::streamoff>(
+        pid.value() * system_->config().page_size + 100);
+    f.seekg(off);
+    const char flipped = static_cast<char>(f.get() ^ 0x5a);
+    f.seekp(off);
+    f.put(flipped);
+  }
+  EXPECT_EQ(system_->server().DeallocatePage(pid).code(),
+            StatusCode::kCorruption);
+  EXPECT_TRUE(system_->server().space_map().IsAllocated(pid));
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ Usage
       Prove the gate passes on the committed files compared against
       themselves and fails on the seeded fixture in tests/bench_gate_fixtures/
       and on one-field edits of a committed sim row (mirrors
-      finelog_lint --self-test).
+      finelog_check --self-test).
 """
 
 import argparse
