@@ -488,13 +488,15 @@ Result<std::vector<CallbackListEntry>> Client::HandleRecScanCallbacks(
   // suppress: the responder's log is then the only durable source of the
   // object's committed value.
   std::map<ObjectId, Psn> pending;
-  // Scan the whole retained log: hand-off records older than the current
-  // reclaim point can still order another client's replay (the paper bounds
-  // this scan by the DPT RedoLSN, an optimization that relies on flush
-  // coverage the post-crash DCT reconstruction cannot always reproduce).
-  Status st = log_->Scan(log_->begin_lsn(), [&](const LogRecord& rec) {
+  // Read the page's records over the whole retained log: hand-off records
+  // older than the current reclaim point can still order another client's
+  // replay (the paper bounds this scan by the DPT RedoLSN, an optimization
+  // that relies on flush coverage the post-crash DCT reconstruction cannot
+  // always reproduce). ScanPage's per-page index keeps this to the page's
+  // own frames.
+  Status st = log_->ScanPage(pid, log_->begin_lsn(), [&](const LogRecord& rec) {
     if (rec.type == LogRecordType::kCallback &&
-        rec.cb_object.page == pid && rec.cb_responder == responder) {
+        rec.cb_responder == responder) {
       // Whole-page hand-off entries (sentinel slot) never go into the
       // suppression list: page-granularity ordering is enforced by the
       // linear per-page PSN history (the server adopts only newer page
@@ -506,9 +508,8 @@ Result<std::vector<CallbackListEntry>> Client::HandleRecScanCallbacks(
       pending[rec.cb_object] = rec.cb_psn;
       return Status::OK();
     }
-    if ((rec.type == LogRecordType::kUpdate ||
-         rec.type == LogRecordType::kClr) &&
-        rec.page == pid) {
+    if (rec.type == LogRecordType::kUpdate ||
+        rec.type == LogRecordType::kClr) {
       auto pit = pending.find(ObjectId{rec.page, rec.slot});
       if (pit != pending.end()) {
         latest[pit->first] = pit->second;
@@ -554,13 +555,8 @@ Status Client::HandleRecRecoverPage(
     // determined from the RedoLSN value present in the DPT entry for P").
     auto dit = dpt_.find(pid);
     Lsn start = dit != dpt_.end() ? dit->second : log_->reclaim_lsn();
-    Status st = log_->Scan(start, [&](const LogRecord& rec) {
-      bool relevant =
-          ((rec.type == LogRecordType::kUpdate ||
-            rec.type == LogRecordType::kClr) &&
-           rec.page == pid) ||
-          (rec.type == LogRecordType::kCallback && rec.cb_object.page == pid);
-      if (relevant) session.records.push_back(rec);
+    Status st = log_->ScanPage(pid, start, [&](const LogRecord& rec) {
+      session.records.push_back(rec);
       return Status::OK();
     });
     if (!st.ok()) return st;

@@ -21,6 +21,20 @@ Status SyncThrough(LogSink* sink, std::FILE* file, const std::string& site) {
   std::fflush(file);
   return Status::OK();
 }
+
+// The page a record is indexed under for ScanPage, or null for records that
+// touch no page's history (commits, checkpoints, replacements, ...).
+const PageId* TouchedPage(const LogRecord& rec) {
+  switch (rec.type) {
+    case LogRecordType::kUpdate:
+    case LogRecordType::kClr:
+      return &rec.page;
+    case LogRecordType::kCallback:
+      return &rec.cb_object.page;
+    default:
+      return nullptr;
+  }
+}
 }  // namespace
 
 LogManager::~LogManager() {
@@ -101,6 +115,7 @@ Status LogManager::RecoverExisting() {
   }
   uint64_t file_size = static_cast<uint64_t>(st.st_size);
   Lsn pos{kFileHeaderSize};
+  std::string body;
   if (io_.debug_trust_tail) {
     // Broken-on-purpose recovery (harness self-test): believe every byte in
     // the file is a durable record, skipping the CRC scan for the true tail.
@@ -119,7 +134,7 @@ Status LogManager::RecoverExisting() {
     fdec.GetU32(&len);
     fdec.GetU32(&crc);
     if (len == 0 || pos.value() + kFrameHeaderSize + len > file_size) break;
-    std::string body(len, '\0');
+    body.resize(len);
     if (std::fread(body.data(), 1, len, file_) != len) break;
     if (Crc32c(body.data(), body.size()) != crc) break;
     pos += kFrameHeaderSize + len;
@@ -214,6 +229,7 @@ Result<LogRecord> LogManager::ReadFrame(Lsn lsn, uint64_t* frame_size) const {
   if (lsn.value() < kFileHeaderSize || lsn >= end_lsn_) {
     return Status::NotFound("LSN out of range");
   }
+  ++frames_read_;
   char fh[kFrameHeaderSize];
   std::string body;
   if (lsn >= durable_end_) {
@@ -265,6 +281,30 @@ Status LogManager::Scan(
     if (!rec.ok()) return rec.status();
     FINELOG_RETURN_IF_ERROR(cb(rec.value()));
     pos += frame_size;
+  }
+  return Status::OK();
+}
+
+Status LogManager::ScanPage(
+    PageId pid, Lsn from, const std::function<Status(const LogRecord&)>& cb) {
+  SimMutexLock lock(mu_);
+  while (indexed_to_ < end_lsn_) {
+    uint64_t frame_size = 0;
+    auto rec = ReadFrame(indexed_to_, &frame_size);
+    if (!rec.ok()) return rec.status();
+    if (const PageId* page = TouchedPage(rec.value())) {
+      page_index_[*page].push_back(indexed_to_);
+    }
+    indexed_to_ += frame_size;
+  }
+  auto it = page_index_.find(pid);
+  if (it == page_index_.end()) return Status::OK();
+  const std::vector<Lsn>& lsns = it->second;
+  for (auto l = std::lower_bound(lsns.begin(), lsns.end(), from);
+       l != lsns.end(); ++l) {
+    auto rec = ReadFrame(*l, nullptr);
+    if (!rec.ok()) return rec.status();
+    FINELOG_RETURN_IF_ERROR(cb(rec.value()));
   }
   return Status::OK();
 }

@@ -22,6 +22,8 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "common/annotations.h"
 #include "common/result.h"
@@ -83,6 +85,14 @@ class FINELOG_SHARED_STATE_CLASS LogManager {
   // non-OK status to stop the scan (propagated to the caller).
   Status Scan(Lsn from, const std::function<Status(const LogRecord&)>& cb) const;
 
+  // Like Scan, but calls `cb` only for the records that touch `pid`: an
+  // Update or CLR on the page, or a Callback for an object on it (slot or
+  // whole-page). First brings the per-page index up to end_lsn() with one
+  // pass over the frames not yet indexed, then reads only the page's frames
+  // at or after `from`.
+  Status ScanPage(PageId pid, Lsn from,
+                  const std::function<Status(const LogRecord&)>& cb);
+
   // LSN one past the last appended record (the next LSN to be assigned).
   Lsn end_lsn() const {
     SimMutexLock lock(mu_);
@@ -124,6 +134,11 @@ class FINELOG_SHARED_STATE_CLASS LogManager {
     SimMutexLock lock(mu_);
     return force_count_;
   }
+  // Frames decoded by Read, Scan and ScanPage (the index catch-up included).
+  uint64_t frames_read() const {
+    SimMutexLock lock(mu_);
+    return frames_read_;
+  }
   // Unforced frame bytes currently buffered, and the largest that buffer has
   // ever grown (group commit lets it hold several transactions' records).
   uint64_t pending_bytes() const {
@@ -163,6 +178,14 @@ class FINELOG_SHARED_STATE_CLASS LogManager {
   uint64_t pending_high_water_ FINELOG_GUARDED_BY(mu_) = 0;
   uint64_t bytes_appended_ FINELOG_GUARDED_BY(mu_) = 0;
   uint64_t force_count_ FINELOG_GUARDED_BY(mu_) = 0;
+  mutable uint64_t frames_read_ FINELOG_GUARDED_BY(mu_) = 0;
+  // ScanPage's index: for each page, the ascending LSNs of the records below
+  // indexed_to_ that touch it. Append leaves it alone; ScanPage catches it
+  // up. LSNs are never reused within one LogManager, and a crash reopens the
+  // log as a new LogManager, so the index never needs invalidating.
+  std::unordered_map<PageId, std::vector<Lsn>> page_index_
+      FINELOG_GUARDED_BY(mu_);
+  Lsn indexed_to_ FINELOG_GUARDED_BY(mu_){kFileHeaderSize};
 };
 
 }  // namespace finelog

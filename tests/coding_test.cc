@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/rng.h"
 #include "util/coding.h"
 #include "util/crc32.h"
 
@@ -92,6 +95,40 @@ TEST(Crc32Test, SeedExtension) {
   uint32_t partial = Crc32c(data.data(), 5);
   uint32_t extended = Crc32c(data.data() + 5, data.size() - 5, partial);
   EXPECT_EQ(extended, whole);
+}
+
+TEST(Crc32Test, PortablePathKnownAnswer) {
+  EXPECT_EQ(internal::Crc32cPortable("123456789", 9, 0), 0xE3069283u);
+}
+
+// The SSE4.2 loop must compute exactly what the byte table does, for every
+// length across the 8-byte word boundary, every start alignment, and a
+// chained seed.
+TEST(Crc32Test, HardwarePathMatchesPortablePath) {
+  if (!internal::Crc32cHardwareAvailable()) {
+    GTEST_SKIP() << "CPU has no SSE4.2 crc32 instruction";
+  }
+  EXPECT_EQ(internal::Crc32cHardware("123456789", 9, 0), 0xE3069283u);
+  Rng rng(24);
+  std::string buf(1024 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 1024; ++n) {
+      const char* p = buf.data() + offset;
+      uint32_t portable = internal::Crc32cPortable(p, n, 0);
+      ASSERT_EQ(internal::Crc32cHardware(p, n, 0), portable)
+          << "offset " << offset << " length " << n;
+      auto init = static_cast<uint32_t>(rng.Next());
+      ASSERT_EQ(internal::Crc32cHardware(p, n, init),
+                internal::Crc32cPortable(p, n, init))
+          << "offset " << offset << " length " << n << " init " << init;
+      size_t cut = n / 3;
+      ASSERT_EQ(internal::Crc32cHardware(
+                    p + cut, n - cut, internal::Crc32cHardware(p, cut, 0)),
+                portable)
+          << "offset " << offset << " length " << n << " cut " << cut;
+    }
+  }
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "log/log_record.h"
 #include "tests/test_util.h"
 
@@ -277,6 +280,200 @@ TEST_F(TornTailTest, CorruptedMidLogStopsScanThere) {
   EXPECT_EQ(log->durable_lsn(), lsns[1]);
   EXPECT_TRUE(log->Read(lsns[0]).ok());
   EXPECT_FALSE(log->Read(lsns[1]).ok());
+}
+
+// ScanPage: one page's records through the lazily built per-page index. The
+// reference is a full Scan plus the filter ScanPage documents.
+
+constexpr uint32_t kMixPages = 6;
+
+bool TouchesPage(const LogRecord& rec, PageId pid) {
+  switch (rec.type) {
+    case LogRecordType::kUpdate:
+    case LogRecordType::kClr:
+      return rec.page == pid;
+    case LogRecordType::kCallback:
+      return rec.cb_object.page == pid;
+    default:
+      return false;
+  }
+}
+
+// Each visited record as (LSN, encoded bytes), so a mismatch in either the
+// set of records or their contents shows.
+using Visits = std::vector<std::pair<Lsn, std::string>>;
+
+Visits ScanPageVisits(LogManager* log, PageId pid, Lsn from) {
+  Visits out;
+  EXPECT_TRUE(log->ScanPage(pid, from, [&](const LogRecord& rec) {
+                   out.emplace_back(rec.lsn, rec.Encode());
+                   return Status::OK();
+                 }).ok());
+  return out;
+}
+
+Visits FilteredScanVisits(const LogManager& log, PageId pid, Lsn from) {
+  Visits out;
+  EXPECT_TRUE(log.Scan(from, [&](const LogRecord& rec) {
+                   if (TouchesPage(rec, pid)) {
+                     out.emplace_back(rec.lsn, rec.Encode());
+                   }
+                   return Status::OK();
+                 }).ok());
+  return out;
+}
+
+class ScanPageTest : public LogTest {
+ protected:
+  // Appends `n` records drawn from a seeded mix of Update, CLR, Callback
+  // (slot and whole-page), Commit and Replacement records over kMixPages
+  // pages; returns their LSNs.
+  std::vector<Lsn> AppendMix(LogManager* log, int n) {
+    std::vector<Lsn> lsns;
+    for (int i = 0; i < n; ++i) {
+      PageId page(static_cast<uint32_t>(rng_.Uniform(kMixPages)));
+      auto slot = static_cast<SlotId>(rng_.Uniform(4));
+      Psn psn(++psn_);
+      LogRecord rec;
+      switch (rng_.Uniform(7)) {
+        case 0:
+        case 1:
+          rec = LogRecord::Update(TxnId(1), kNullLsn, page, slot,
+                                  UpdateOp::kOverwrite, psn, "redo", "undo");
+          break;
+        case 2:
+          rec = LogRecord::Clr(TxnId(1), kNullLsn, page, slot,
+                               UpdateOp::kOverwrite, psn, "img", kNullLsn);
+          break;
+        case 3:
+          rec = LogRecord::Callback(TxnId(1), kNullLsn, ObjectId{page, slot},
+                                    ClientId(2), psn);
+          break;
+        case 4:
+          rec = LogRecord::Callback(TxnId(1), kNullLsn,
+                                    ObjectId{page, kInvalidSlotId},
+                                    ClientId(3), psn);
+          break;
+        case 5:
+          rec = LogRecord::Control(LogRecordType::kCommit, TxnId(1), kNullLsn);
+          break;
+        default:
+          rec = LogRecord::Replacement(page, psn, {});
+          break;
+      }
+      auto lsn = log->Append(rec);
+      EXPECT_TRUE(lsn.ok());
+      lsns.push_back(lsn.value());
+    }
+    return lsns;
+  }
+
+  // ScanPage equals the filtered Scan for every mixed page plus one the mix
+  // never touches, from `from`.
+  void ExpectEveryPageMatches(LogManager* log, Lsn from) {
+    for (uint32_t p = 0; p <= kMixPages; ++p) {
+      EXPECT_EQ(ScanPageVisits(log, PageId(p), from),
+                FilteredScanVisits(*log, PageId(p), from))
+          << "page " << p << " from " << from.value();
+    }
+  }
+
+  Rng rng_{24};
+  uint64_t psn_ = 0;
+};
+
+TEST_F(ScanPageTest, MatchesFilteredScanFromStartAndMiddle) {
+  auto log = OpenLog();
+  std::vector<Lsn> lsns = AppendMix(log.get(), 300);
+  ASSERT_TRUE(log->Force().ok());
+  ExpectEveryPageMatches(log.get(), log->begin_lsn());
+  ExpectEveryPageMatches(log.get(), lsns[lsns.size() / 2]);
+  ExpectEveryPageMatches(log.get(), log->end_lsn());
+  EXPECT_FALSE(ScanPageVisits(log.get(), PageId(0), log->begin_lsn()).empty());
+}
+
+TEST_F(ScanPageTest, IncludesUnforcedBufferedTail) {
+  auto log = OpenLog();
+  AppendMix(log.get(), 200);
+  ASSERT_TRUE(log->Force().ok());
+  std::vector<Lsn> tail = AppendMix(log.get(), 60);
+  ASSERT_GT(log->pending_bytes(), 0u);
+  ExpectEveryPageMatches(log.get(), log->begin_lsn());
+  ExpectEveryPageMatches(log.get(), tail[tail.size() / 2]);
+}
+
+TEST_F(ScanPageTest, CatchesUpWithAppendsBetweenQueries) {
+  auto log = OpenLog();
+  Lsn from = log->begin_lsn();
+  for (int round = 0; round < 5; ++round) {
+    std::vector<Lsn> lsns = AppendMix(log.get(), 40);
+    if (round % 2 == 0) {
+      ASSERT_TRUE(log->Force().ok());
+    }
+    ExpectEveryPageMatches(log.get(), log->begin_lsn());
+    ExpectEveryPageMatches(log.get(), from);
+    from = lsns[lsns.size() / 3];
+  }
+}
+
+TEST_F(ScanPageTest, TornTailReopenDropsLostRecords) {
+  std::vector<Lsn> lsns;
+  {
+    auto log = OpenLog();
+    lsns = AppendMix(log.get(), 200);
+    ASSERT_TRUE(log->Force().ok());
+    // Index everything, including an unforced tail the crash will lose.
+    std::vector<Lsn> unforced = AppendMix(log.get(), 30);
+    lsns.insert(lsns.end(), unforced.begin(), unforced.end());
+    ExpectEveryPageMatches(log.get(), log->begin_lsn());
+  }
+  // Tear the last forced frame in half as well.
+  Lsn cut = lsns[199];
+  std::filesystem::resize_file(dir_ + "/test.log",
+                               cut.value() + LogManager::kFrameHeaderSize);
+  auto log = OpenLog();
+  ASSERT_EQ(log->end_lsn(), cut);
+  for (uint32_t p = 0; p < kMixPages; ++p) {
+    for (const auto& [lsn, bytes] :
+         ScanPageVisits(log.get(), PageId(p), log->begin_lsn())) {
+      EXPECT_LT(lsn, cut) << "page " << p << " returned a lost record";
+    }
+  }
+  ExpectEveryPageMatches(log.get(), log->begin_lsn());
+  // New records reuse the lost addresses; the index must show only them.
+  AppendMix(log.get(), 50);
+  ExpectEveryPageMatches(log.get(), log->begin_lsn());
+  ExpectEveryPageMatches(log.get(), cut);
+}
+
+TEST_F(ScanPageTest, PageQueriesReadEachFrameOncePlusTheirOwnRecords) {
+  auto log = OpenLog();
+  AppendMix(log.get(), 400);
+  ASSERT_TRUE(log->Force().ok());
+  uint64_t frames = 0;
+  std::vector<uint64_t> per_page(kMixPages, 0);
+  ASSERT_TRUE(log->Scan(log->begin_lsn(), [&](const LogRecord& rec) {
+                   ++frames;
+                   for (uint32_t p = 0; p < kMixPages; ++p) {
+                     if (TouchesPage(rec, PageId(p))) ++per_page[p];
+                   }
+                   return Status::OK();
+                 }).ok());
+  // P queries read at most N + (records of the P pages) frames: one index
+  // catch-up pass, then each page's own frames. A full Scan per query would
+  // read P * N.
+  uint64_t before = log->frames_read();
+  uint64_t bound = frames;
+  for (uint32_t p = 0; p < kMixPages; p += 2) {
+    ASSERT_EQ(ScanPageVisits(log.get(), PageId(p), log->begin_lsn()).size(),
+              per_page[p]);
+    bound += per_page[p];
+  }
+  EXPECT_LE(log->frames_read() - before, bound);
+  // With the index caught up, a repeat query reads only the page's frames.
+  before = log->frames_read();
+  ScanPageVisits(log.get(), PageId(1), log->begin_lsn());
+  EXPECT_EQ(log->frames_read() - before, per_page[1]);
 }
 
 }  // namespace

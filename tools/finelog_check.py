@@ -122,6 +122,11 @@ Program rules
                          request structs in src/net/endpoints.h, so no
                          endpoint body can hand-compute a message size or
                          pick its own accounting options.
+  per-page-recovery-scan A client's recovery-plane handler (a Client::
+                         HandleRec* method) reads the log through
+                         LogManager::ScanPage, never a whole-log
+                         LogManager::Scan: server-restart repair reads only
+                         the repaired page's records (DESIGN.md sec. 18).
   shared-state-annotations
                          Every non-static data member of a class marked
                          FINELOG_SHARED_STATE_CLASS must carry
@@ -632,6 +637,10 @@ MIN_ENDPOINTS = 11  # The non-Rec data plane; guards request-list parse rot.
 
 CHOKEPOINT_METHODS = {"Count", "CountBatch"}
 RPC_INTERNALS_RE = re.compile(r"\b(CallOptions|RpcReply)\b")
+
+CLIENT_CLASS = "Client"
+CLIENT_REC_HANDLER_PREFIX = "HandleRec"
+WHOLE_LOG_SCAN = "Scan"
 
 CAPABILITY_FIELD = "mu_"
 REQUIRED_MARKED_CLASSES = {
@@ -1440,6 +1449,24 @@ def check_rpc_chokepoint(program):
             for path, line, message in sorted(reported)]
 
 
+def check_per_page_recovery_scan(program):
+    """per-page-recovery-scan: a client's Rec handler reads one page's
+    records through LogManager::ScanPage, not the whole log."""
+    out = []
+    for fn in program.functions.values():
+        if fn.cls != CLIENT_CLASS \
+                or not fn.name.startswith(CLIENT_REC_HANDLER_PREFIX):
+            continue
+        for name, _order, line in fn.calls:
+            if name == WHOLE_LOG_SCAN:
+                out.append(Violation(
+                    fn.path, line, "per-page-recovery-scan",
+                    f"{fn.qname} calls LogManager::{WHOLE_LOG_SCAN}(); a "
+                    "server-restart repair handler reads only its page's "
+                    "records through LogManager::ScanPage"))
+    return out
+
+
 def check_shared_state_annotations(program):
     out = []
     if program.strict:
@@ -1560,6 +1587,7 @@ PROGRAM_RULES = [
     ("prologue-only", check_prologue_only),
     ("rec-plane-flag", check_rec_plane_flag),
     ("rpc-chokepoint", check_rpc_chokepoint),
+    ("per-page-recovery-scan", check_per_page_recovery_scan),
     ("shared-state-annotations", check_shared_state_annotations),
     ("would-block-sweep", check_would_block_sweep),
 ]
@@ -1631,6 +1659,7 @@ FIXTURES = {
     "bad_rec_plane_flag.cc": "rec-plane-flag",
     "bad_message_sizes.cc": "rpc-chokepoint",
     "bad_raw_channel.cc": "rpc-chokepoint",
+    "bad_whole_log_recovery_scan.cc": "per-page-recovery-scan",
     "bad_unannotated_field.cc": "shared-state-annotations",
 }
 
