@@ -3,15 +3,15 @@
 // Every other experiment measures the protocol under the deterministic
 // simulation: costs are modeled, results are byte-reproducible. E15 runs the
 // SAME protocol stack against the wall clock -- ExecMode::kRealClock gives
-// every client its own thread, routes every RPC through the QueueTransport
-// reactor, and ends every log force in a real fdatasync -- and reports what
+// every client its own thread, serializes every server call on the
+// TokenTransport's execution token, and ends every log force in a real fdatasync -- and reports what
 // an actual deployment of the paper's design would observe: committed
 // transactions per wall-clock second, commit latency percentiles, and
 // fsyncs per second.
 //
 // Workload: each client thread runs kTxnsPerClient update transactions
 // against its own private pages (the scaling dimension under study is the
-// shared server/reactor/log path, not data contention -- E14 sweeps
+// shared server/token/log path, not data contention -- E14 sweeps
 // contention). Swept: clients {4, 16, 64} x message batching {1, 8} x group
 // commit {off, 8 txns}.
 //

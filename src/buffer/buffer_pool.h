@@ -90,9 +90,9 @@ class FINELOG_SHARED_STATE_CLASS BufferPool {
 
   // The pool deliberately carries NO capability of its own: eviction calls
   // back into the owner (WAL force + page ship, which in the real-clock mode
-  // parks the thread on an RPC frame), so a pool-level lock would be held
-  // across a parked RPC and deadlock against the reactor delivering
-  // callbacks into the owner. Serialization comes from the owning Client's /
+  // waits for the server token), so a pool-level lock would be held across
+  // that wait and deadlock against the token holder delivering callbacks
+  // into the owner. Serialization comes from the owning Client's /
   // Server's capability, which every path into the pool already holds.
   uint32_t capacity_ FINELOG_UNGUARDED("immutable after construction");
   std::unordered_map<PageId, Frame> frames_

@@ -48,9 +48,10 @@ class FINELOG_SHARED_STATE_CLASS Client : public ClientEndpoint {
 
   ClientId id() const { return id_; }
 
-  // The client's capability, registered with the QueueTransport as this
-  // client's gate: released in full while the client parks on an RPC frame
-  // so the reactor can deliver callbacks into it (DESIGN.md section 17).
+  // The client's capability, registered with the TokenTransport as this
+  // client's gate: released in full while the client waits for the server
+  // token, so the token holder can deliver callbacks into it (DESIGN.md
+  // section 17).
   SimMutex& gate() { return mu_; }
 
   // Transaction API ----------------------------------------------------------
@@ -342,8 +343,9 @@ class FINELOG_SHARED_STATE_CLASS Client : public ClientEndpoint {
 
   // Capability guarding the client's transactional state. Uncontended in
   // the simulation; in the real-clock mode it is this client's gate,
-  // contended between the client's own thread and the reactor delivering
-  // callbacks (and released in full while the client parks on a frame).
+  // contended between the client's own thread and the server token's holder
+  // delivering callbacks (and released in full while the client waits for
+  // the token).
   mutable SimMutex mu_;
 
   ClientId id_ FINELOG_UNGUARDED("immutable after construction");

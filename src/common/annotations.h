@@ -16,8 +16,7 @@
 //     and the whole vocabulary becomes compiler-enforced lock discipline.
 //     SimMutex is a real recursive mutex: the simulated mode acquires it
 //     uncontended on one thread, the real-clock mode (ExecMode::kRealClock,
-//     DESIGN.md section 17) acquires it for real across client threads and
-//     the server reactor.
+//     DESIGN.md section 17) acquires it for real across client threads.
 //
 // Placement grammar (what the verifier parses):
 //   - field:      Type name_ FINELOG_GUARDED_BY(mu_);
@@ -93,8 +92,9 @@ namespace finelog {
 // stack (a server endpoint calls back into a client, which may ship a page
 // back through another server endpoint), so the same thread legitimately
 // re-enters a capability it already holds. The real-clock mode keeps the
-// same shape: the reactor thread nests endpoint bodies exactly the way the
-// simulation does (DESIGN.md section 17).
+// same shape: the server token's holder runs endpoint bodies on its own
+// stack and nests them exactly the way the simulation does (DESIGN.md
+// section 17).
 //
 // Recursion is invisible to clang's -Wthread-safety analysis (which models
 // non-reentrant capabilities); the locking discipline therefore never
@@ -125,10 +125,10 @@ class FINELOG_CAPABILITY("mutex") SimMutex {
     }
   }
 
-  // Transport support (DESIGN.md section 17): a client thread about to park
-  // on an RPC frame gives up the whole capability -- however deeply it was
-  // re-entered -- so the reactor can deliver callbacks into the client
-  // while it waits. Returns the recursion depth to restore.
+  // Transport support (DESIGN.md section 17): a client thread about to wait
+  // for the server token gives up the whole capability -- however deeply it
+  // was re-entered -- so the token holder can deliver callbacks into the
+  // client while it waits. Returns the recursion depth to restore.
   int FullRelease() FINELOG_NO_THREAD_SAFETY_ANALYSIS {
     const int depth = depth_;
     depth_ = 0;
@@ -150,22 +150,6 @@ class FINELOG_CAPABILITY("mutex") SimMutex {
            std::this_thread::get_id();
   }
 
-  // Transport support: a frame body running on the reactor while its
-  // (parked) submitter holds this capability cooperatively can adopt the
-  // ownership for the body's duration, so nested endpoint re-entry from
-  // inside the body recurses instead of self-deadlocking. Returns the
-  // previous owner to restore before the submitter resumes. Safe because
-  // the real holder is parked for exactly the body's lifetime; reentrant
-  // (adopting a capability this thread already owns is a no-op pair).
-  std::thread::id AdoptOwner() FINELOG_NO_THREAD_SAFETY_ANALYSIS {
-    const std::thread::id prev = owner_.load(std::memory_order_relaxed);
-    owner_.store(std::this_thread::get_id(), std::memory_order_relaxed);
-    return prev;
-  }
-  void RestoreOwner(std::thread::id prev) FINELOG_NO_THREAD_SAFETY_ANALYSIS {
-    owner_.store(prev, std::memory_order_relaxed);
-  }
-
  private:
   std::mutex m_;
   // The owner id is written only by the thread that holds m_ (and cleared
@@ -174,20 +158,6 @@ class FINELOG_CAPABILITY("mutex") SimMutex {
   // never observe its own id there.
   std::atomic<std::thread::id> owner_{std::thread::id()};
   int depth_ = 0;  // Touched only by the owning thread.
-};
-
-// RAII pair for SimMutex::AdoptOwner/RestoreOwner.
-class SimMutexAdopt {
- public:
-  explicit SimMutexAdopt(SimMutex& mu) : mu_(mu), prev_(mu.AdoptOwner()) {}
-  ~SimMutexAdopt() { mu_.RestoreOwner(prev_); }
-
-  SimMutexAdopt(const SimMutexAdopt&) = delete;
-  SimMutexAdopt& operator=(const SimMutexAdopt&) = delete;
-
- private:
-  SimMutex& mu_;
-  std::thread::id prev_;
 };
 
 // RAII guard carrying the scoped_lockable attribute, so clang's analysis

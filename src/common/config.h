@@ -24,8 +24,9 @@ enum class ExecMode {
   // (config, seed).
   kSimulated,
   // Real concurrency: each client on its own std::thread, a monotonic
-  // RealClock, an MPSC queue transport driven by a server-side reactor
-  // thread, and log forces that hit a real file with fdatasync.
+  // RealClock, one server execution token that a calling thread takes to
+  // run the endpoint body itself, and log forces that hit a real file with
+  // fdatasync.
   kRealClock,
 };
 
@@ -133,13 +134,13 @@ struct SystemConfig {
 
   // Execution mode (DESIGN.md section 17). kRealClock runs clients on real
   // threads against a monotonic clock; it rejects the simulated network
-  // fault model (net_faults must stay disabled) because the queue transport
+  // fault model (net_faults must stay disabled) because the token transport
   // is a reliable in-process link -- chaos stays the simulation's job.
   ExecMode exec_mode = ExecMode::kSimulated;
 
-  // kRealClock only: how long a client thread waits for the reactor to
-  // complete one RPC frame before the call fails with kWouldBlock
-  // (degraded to a clean abort by the transaction layer). 0 = wait forever.
+  // kRealClock only: how long a client thread waits for the server token
+  // before the call fails with kWouldBlock, its body never run (degraded to
+  // a clean abort by the transaction layer). 0 = wait forever.
   uint64_t realclock_rpc_timeout_us = 10 * 1000 * 1000;
 
   // Where Force()/page writes become durable. Null picks the mode default:

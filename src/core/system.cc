@@ -96,13 +96,12 @@ Result<std::unique_ptr<System>> System::Create(const SystemConfig& config) {
   }
 
   if (cfg.exec_mode == ExecMode::kRealClock) {
-    system->transport_ = std::make_unique<QueueTransport>();
+    system->transport_ =
+        std::make_unique<TokenTransport>(cfg.realclock_rpc_timeout_us);
     for (auto& client : system->clients_) {
       system->transport_->RegisterGate(client->id(), &client->gate());
     }
-    system->transport_->Start();
-    system->rpc_->SetTransport(system->transport_.get(),
-                               cfg.realclock_rpc_timeout_us);
+    system->rpc_->SetTransport(system->transport_.get());
   }
   return system;
 }

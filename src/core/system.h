@@ -22,10 +22,10 @@
 // Execution modes (DESIGN.md section 17): the default ExecMode::kSimulated
 // runs everything on the caller's thread against a SimClock -- the
 // deterministic oracle. ExecMode::kRealClock swaps in a RealClock, a
-// QueueTransport reactor behind the Rpc chokepoint, and a DurableSink
-// (fdatasync) behind log forces; the caller then drives each client from
-// its own std::thread and harness operations below serialize through the
-// reactor.
+// TokenTransport (one server execution token) behind the Rpc chokepoint,
+// and a DurableSink (fdatasync) behind log forces; the caller then drives
+// each client from its own std::thread and harness operations below
+// serialize on the same token.
 
 #ifndef FINELOG_CORE_SYSTEM_H_
 #define FINELOG_CORE_SYSTEM_H_
@@ -92,16 +92,16 @@ class System {
   Metrics& metrics() { return metrics_; }
   const SystemConfig& config() const { return config_; }
   // Null in simulated mode. Real-clock benches read frame counters here.
-  QueueTransport* transport() { return transport_.get(); }
+  TokenTransport* transport() { return transport_.get(); }
   // The sink behind log/page forces (null in simulated mode unless the
   // config injected one). Benches read DurableSink::sync_count() here.
   LogSink* log_sink() { return config_.log_sink; }
 
   // Crash injection ----------------------------------------------------------
   //
-  // In real-clock mode every operation below runs serialized on the reactor
-  // thread, so it cannot interleave with endpoint bodies; callers must have
-  // quiesced the client threads they are crashing or recovering.
+  // In real-clock mode every operation below runs holding the server token,
+  // so it cannot interleave with endpoint bodies; callers must have quiesced
+  // the client threads they are crashing or recovering.
 
   Status CrashClient(size_t i);
   Status CrashServer();
@@ -144,9 +144,10 @@ class System {
   explicit System(const SystemConfig& config)
       : config_(config), clock_(MakeClock(config.exec_mode)), metrics_() {}
 
-  // Harness operations run on the caller's stack in simulated mode and on
-  // the reactor in real-clock mode (one serialization point, no endpoint
-  // body in flight while volatile state is being dropped or rebuilt).
+  // Harness operations run on the caller's stack in both modes; in
+  // real-clock mode they hold the server token (one serialization point, no
+  // endpoint body in flight while volatile state is being dropped or
+  // rebuilt).
   Status RunSerialized(const std::function<Status()>& fn);
 
   Server& ActiveServer() const {
@@ -167,7 +168,7 @@ class System {
   std::unique_ptr<MastershipTable> mastership_;  // hot_standby only.
   std::unique_ptr<ServerRouter> router_;         // hot_standby only.
   std::vector<std::unique_ptr<Client>> clients_;
-  std::unique_ptr<QueueTransport> transport_;  // Real-clock mode only.
+  std::unique_ptr<TokenTransport> transport_;  // Real-clock mode only.
 };
 
 }  // namespace finelog

@@ -17,8 +17,8 @@
 //    atomic (fsyncs/sec is a benchmark output).
 //
 // Sinks are stateless apart from the counter and shared by every log and
-// disk instance of a System; Sync() may be called from any client thread or
-// the reactor concurrently (fdatasync on distinct files is naturally
+// disk instance of a System; Sync() may be called from any client thread
+// concurrently (fdatasync on distinct files is naturally
 // parallel; two Syncs on the same file are serialized by the owning
 // component's capability).
 

@@ -3,13 +3,13 @@
 // Every logical network hop is recorded with Count(): one message of a given
 // type, a payload size, and the sender. The channel charges the clock with
 // the cost model's latency plus per-KB transfer time (a no-op charge under
-// the real clock, where the transport's queue hops take real time instead).
+// the real clock, where the calls themselves take real time instead).
 // Benchmarks read the per-type counters to produce the message-complexity
 // tables.
 //
 // Counters are relaxed atomics: in the real-clock mode every client thread
-// and the server reactor count concurrently, and nothing orders against a
-// counter -- they are pure statistics.
+// counts concurrently, and nothing orders against a counter -- they are
+// pure statistics.
 
 #ifndef FINELOG_NET_CHANNEL_H_
 #define FINELOG_NET_CHANNEL_H_

@@ -100,15 +100,12 @@ class Rpc {
   Rpc& operator=(const Rpc&) = delete;
 
   // Plugs the real-clock transport in (DESIGN.md section 17). Calls then
-  // cross the MPSC queue to the server reactor instead of running inline;
-  // `timeout_us` bounds each frame wait (0 = forever). The simulated fault
-  // model and the transport are mutually exclusive (System::Create rejects
-  // the combination), so Call() dispatches on exactly one of them.
-  void SetTransport(Transport* transport, uint64_t timeout_us) {
-    transport_ = transport;
-    transport_timeout_us_ = timeout_us;
-  }
-  Transport* transport() { return transport_; }
+  // run on the calling thread once it holds the server token instead of
+  // running inline unconditionally. The simulated fault model and the
+  // transport are mutually exclusive (System::Create rejects the
+  // combination), so Call() dispatches on exactly one of them.
+  void SetTransport(TokenTransport* transport) { transport_ = transport; }
+  TokenTransport* transport() { return transport_; }
 
   // One typed exchange (net/endpoints.h): options and wire sizes come from
   // the request struct's definition. `handler` runs on the receiving side
@@ -175,15 +172,13 @@ class Rpc {
   void Send(const CallOptions& opts, Body&& body) {
     if (transport_ != nullptr) {
       channel_->CountBatch(opts.req_type, opts.req_items, opts.req_bytes);
-      // Server->client notifications are issued from the reactor and run
-      // inline there (the handler's own gate serializes them); a client-
-      // originated one-way crosses the queue like any call. Either way the
-      // body's by-reference captures stay alive for the duration.
+      // Server->client notifications are issued by the token holder and
+      // run inline (the handler's own gate serializes them); a client-
+      // originated one-way takes the token like any call.
       if (transport_->OnServerThread()) {
         body();
       } else {
-        (void)transport_->Submit(opts.peer, [&body] { body(); },
-                                 transport_timeout_us_);
+        (void)transport_->Submit(opts.peer, [&body] { body(); });
       }
       return;
     }
@@ -262,12 +257,12 @@ class Rpc {
            opts.endpoint;
   }
 
-  // Real-clock path: one frame across the queue transport. Keeps the
-  // session machinery live -- the frame is stamped with the session's
-  // (epoch, seq) at submit time and fenced against the *current* epoch at
-  // execution time, so a frame that was queued before its client crashed
-  // and restarted is dropped by the same epoch fence the simulated fault
-  // model uses for ghosts.
+  // Real-clock path: one body run under the server token. Keeps the session
+  // machinery live -- the call is stamped with the session's (epoch, seq)
+  // before the token wait and fenced against the *current* epoch once the
+  // token is held, so a call that waited across its client's crash and
+  // restart is dropped by the same epoch fence the simulated fault model
+  // uses for ghosts.
   template <typename R, typename Body>
   R TransportCall(const CallOptions& opts, Body& body) {
     channel_->CountBatch(opts.req_type, opts.req_items, opts.req_bytes);
@@ -296,8 +291,7 @@ class Rpc {
             return;
           }
           executed.emplace(body(&reply));
-        },
-        transport_timeout_us_);
+        });
     if (!submitted.ok()) {
       metrics_->Add(Counter::kNetRpcTimeouts);
       metrics_->Add(Counter::kNetRpcExhausted);
@@ -399,10 +393,9 @@ class Rpc {
   Channel* channel_;
   Metrics* metrics_;
   Delivery delivery_;
-  Transport* transport_ = nullptr;
-  uint64_t transport_timeout_us_ = 0;
-  // Serializes session stamping in transport mode, where client threads and
-  // the reactor touch sessions_ concurrently. The simulated paths
+  TokenTransport* transport_ = nullptr;
+  // Serializes session stamping in transport mode, where client threads
+  // stamp sessions_ while the token holder reads them. The simulated paths
   // (FaultyCall/Send/PumpGhosts) run single-threaded and take it only at
   // the non-hot entry points they share with the harness (BumpEpoch,
   // introspection).

@@ -4,154 +4,74 @@
 
 namespace finelog {
 
-QueueTransport::~QueueTransport() { Shutdown(); }
-
-void QueueTransport::RegisterGate(ClientId client, SimMutex* gate) {
-  gates_[client] = gate;
+void TokenTransport::Shutdown() {
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [this] { return !held_; });
+  shut_down_ = true;
+  cv_.notify_all();  // Waiters fail at once instead of at their limit.
 }
 
-void QueueTransport::Start() {
-  {
-    std::lock_guard<std::mutex> lock(qmu_);
-    if (started_) return;
-    started_ = true;
-    stop_ = false;
+Status TokenTransport::Acquire(bool bounded) {
+  std::unique_lock<std::mutex> lock(mu_);
+  auto free = [this] { return shut_down_ || !held_; };
+  if (!bounded || timeout_us_ == 0) {
+    cv_.wait(lock, free);
+  } else if (!cv_.wait_for(lock, std::chrono::microseconds(timeout_us_),
+                           free)) {
+    frames_abandoned_.fetch_add(1, std::memory_order_relaxed);
+    return Status::WouldBlock(WouldBlockReason::kRpcTimeout,
+                              "server token wait timed out");
   }
-  reactor_ = std::thread([this] {
-    reactor_tid_.store(std::this_thread::get_id(), std::memory_order_release);
-    ReactorLoop();
-  });
+  if (shut_down_) {
+    return Status::WouldBlock(WouldBlockReason::kRpcTimeout,
+                              "transport is shut down");
+  }
+  held_ = true;
+  holder_.store(std::this_thread::get_id(), std::memory_order_relaxed);
+  return Status::OK();
 }
 
-void QueueTransport::Shutdown() {
+void TokenTransport::Release() {
   {
-    std::lock_guard<std::mutex> lock(qmu_);
-    if (!started_) return;
-    stop_ = true;
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = false;
+    holder_.store(std::thread::id(), std::memory_order_relaxed);
   }
-  qcv_.notify_all();
-  if (reactor_.joinable()) reactor_.join();
-  {
-    std::lock_guard<std::mutex> lock(qmu_);
-    started_ = false;
-  }
-  reactor_tid_.store(std::thread::id(), std::memory_order_release);
+  cv_.notify_one();
 }
 
-void QueueTransport::ReactorLoop() {
-  std::unique_lock<std::mutex> lock(qmu_);
-  for (;;) {
-    qcv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-    if (queue_.empty()) break;  // stop_ and drained.
-    std::shared_ptr<Frame> frame = queue_.front();
-    queue_.pop_front();
-    lock.unlock();
-
-    bool run = false;
-    {
-      std::lock_guard<std::mutex> fl(frame->m);
-      if (!frame->abandoned && !stop_) {
-        frame->executing = true;
-        run = true;
-      }
-    }
-    if (run) {
-      frame->fn();
-      frames_executed_.fetch_add(1, std::memory_order_relaxed);
-    }
-    {
-      std::lock_guard<std::mutex> fl(frame->m);
-      frame->executing = false;
-      frame->ran = run;
-      frame->done = true;
-    }
-    frame->cv.notify_all();
-
-    lock.lock();
+TokenScope::TokenScope(TokenTransport* transport, ClientId from,
+                       bool bounded) {
+  if (transport == nullptr || transport->OnServerThread()) return;
+  gate_ = transport->GateFor(from);
+  if (gate_ != nullptr && gate_->HeldByMe()) {
+    gate_depth_ = gate_->FullRelease();
+  } else {
+    gate_ = nullptr;
   }
-  // stop_ set: abort whatever is still queued so parked waiters return.
-  while (!queue_.empty()) {
-    std::shared_ptr<Frame> frame = queue_.front();
-    queue_.pop_front();
-    lock.unlock();
-    {
-      std::lock_guard<std::mutex> fl(frame->m);
-      frame->done = true;  // ran stays false: waiter sees an aborted frame.
-    }
-    frame->cv.notify_all();
-    lock.lock();
-  }
+  status_ = transport->Acquire(bounded);
+  if (status_.ok()) acquired_ = transport;
 }
 
-Status QueueTransport::Submit(ClientId from, const std::function<void()>& fn,
-                              uint64_t timeout_us) {
-  // Nested submit from the reactor itself (a server endpoint body re-enters
-  // the RPC plane): execute inline, exactly like the simulation's
-  // synchronous nesting. Waiting would deadlock the reactor on itself.
-  if (OnServerThread()) {
-    fn();
-    frames_executed_.fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();
-  }
-
-  auto frame = std::make_shared<Frame>();
-  frame->fn = fn;
-  {
-    std::lock_guard<std::mutex> lock(qmu_);
-    if (!started_ || stop_) {
-      return Status::WouldBlock(WouldBlockReason::kRpcTimeout,
-                                "transport is shut down");
-    }
-    queue_.push_back(frame);
-  }
-  qcv_.notify_one();
-
-  // Park: give up the whole client gate (however deep) so the reactor can
-  // deliver callbacks into this client while we wait.
-  SimMutex* gate = nullptr;
-  int gate_depth = 0;
-  auto it = gates_.find(from);
-  if (it != gates_.end() && it->second->HeldByMe()) {
-    gate = it->second;
-    gate_depth = gate->FullRelease();
-  }
-
-  Status result = Status::OK();
-  {
-    std::unique_lock<std::mutex> fl(frame->m);
-    if (timeout_us == 0) {
-      frame->cv.wait(fl, [&] { return frame->done; });
-    } else {
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::microseconds(timeout_us);
-      if (!frame->cv.wait_until(fl, deadline, [&] { return frame->done; })) {
-        if (frame->executing) {
-          // Too late to abandon: the body is running over our stack
-          // captures. Ride it out.
-          frame->cv.wait(fl, [&] { return frame->done; });
-        } else if (!frame->done) {
-          frame->abandoned = true;
-          frames_abandoned_.fetch_add(1, std::memory_order_relaxed);
-          result = Status::WouldBlock(WouldBlockReason::kRpcTimeout,
-                                      "transport frame timed out");
-        }
-      }
-    }
-    if (result.ok() && !frame->ran) {
-      result = Status::WouldBlock(WouldBlockReason::kRpcTimeout,
-                                  "transport frame aborted at shutdown");
-    }
-  }
-
-  if (gate != nullptr) gate->Reacquire(gate_depth);
-  return result;
+TokenScope::~TokenScope() {
+  if (acquired_ != nullptr) acquired_->Release();
+  if (gate_ != nullptr) gate_->Reacquire(gate_depth_);
 }
 
-Status QueueTransport::RunOnReactor(const std::function<Status()>& fn) {
-  Status out = Status::OK();
-  Status submitted =
-      Submit(kInvalidClientId, [&] { out = fn(); }, /*timeout_us=*/0);
-  if (!submitted.ok()) return submitted;
+Status TokenTransport::Submit(ClientId from,
+                              const std::function<void()>& fn) {
+  TokenScope scope(this, from);
+  FINELOG_RETURN_IF_ERROR(scope.status());
+  fn();
+  frames_executed_.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+Status TokenTransport::RunOnReactor(const std::function<Status()>& fn) {
+  TokenScope scope(this, kInvalidClientId, /*bounded=*/false);
+  FINELOG_RETURN_IF_ERROR(scope.status());
+  Status out = fn();
+  frames_executed_.fetch_add(1, std::memory_order_relaxed);
   return out;
 }
 

@@ -1,37 +1,33 @@
-// Transport: the pluggable delivery seam behind the Rpc chokepoint
+// TokenTransport: the real-clock delivery seam behind the Rpc chokepoint
 // (DESIGN.md section 17).
 //
 // The simulated mode needs no transport at all: Rpc::Call runs the endpoint
 // body synchronously on the caller's stack (optionally through the Delivery
 // fault model), which is the deterministic correctness oracle. The
-// real-clock mode (ExecMode::kRealClock) plugs a QueueTransport into the
-// Rpc: client threads submit request frames to an MPSC queue, a dedicated
-// server-side reactor thread drains the queue and executes the endpoint
-// bodies one at a time, and condition variables carry completion back.
-//
-// The reactor IS the server's execution context: every server-side
-// capability (Server::mu_, GLM, DCT, liveness, server log) is only ever
-// contended between the reactor and nothing, which keeps the server as
-// single-threaded as the paper assumes while clients do their transactional
-// work concurrently.
+// real-clock mode (ExecMode::kRealClock) plugs a TokenTransport into the
+// Rpc. The server's execution context is one token, a mutex plus its
+// holder's thread id: a calling thread takes the token and runs the endpoint
+// body itself, so an uncontended call costs no thread hand-off. One holder at
+// a time keeps the server as single-threaded as the paper assumes while
+// clients do their transactional work concurrently.
 //
 // Re-entrancy contract (mirrors the simulation's synchronous nesting):
-//  - A frame submitted *from* the reactor thread (a server endpoint body
-//    shipping a page back through another endpoint) executes inline --
-//    exactly the nested call the simulation performs, and the only way to
-//    avoid the reactor waiting on itself.
-//  - A client thread parking on a frame first gives up its client gate
-//    (SimMutex::FullRelease) so the reactor can deliver callbacks into that
-//    client while it waits -- the real-clock equivalent of the simulation
+//  - A call made by the token holder (a server endpoint body calling back
+//    into a client, which ships a page back through another endpoint) runs
+//    inline, exactly the nested call the simulation performs.
+//  - A thread about to wait for the token first gives up its client gate
+//    (SimMutex::FullRelease), so the holder can deliver callbacks into that
+//    client meanwhile -- the real-clock equivalent of the simulation
 //    re-entering a client's handler in the middle of its own RPC. Server
-//    endpoints widen that release to the whole call (EndpointLock), so a
-//    client never waits for a node capability while holding its gate.
+//    endpoints take the token through EndpointLock, which holds it and the
+//    node capability for the whole call.
 //
-// Timeout contract: a waiter that gives up marks its frame *abandoned*
-// under the frame lock; the reactor skips abandoned frames entirely (the
-// closure's captured stack may be gone). If the reactor already started
-// executing, the waiter instead blocks until completion -- a frame body
-// never observes a half-dead caller.
+// Lock order: the token, then a node capability (Server::mu_), then client
+// gates. No thread waits for the token while holding a gate or mu_.
+//
+// Timeout contract: a thread that waits longer than its limit for the token
+// gives up. Its body never runs, the call returns kWouldBlock/kRpcTimeout,
+// and frames_abandoned counts it.
 
 #ifndef FINELOG_NET_TRANSPORT_H_
 #define FINELOG_NET_TRANSPORT_H_
@@ -39,10 +35,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -52,98 +46,40 @@
 
 namespace finelog {
 
-class Transport {
+class TokenTransport {
  public:
-  Transport() = default;
-  Transport(const Transport&) = delete;
-  Transport& operator=(const Transport&) = delete;
-  virtual ~Transport() = default;
+  // `timeout_us` bounds every Submit's and EndpointLock's wait for the token
+  // (0 = wait forever).
+  explicit TokenTransport(uint64_t timeout_us) : timeout_us_(timeout_us) {}
+  TokenTransport(const TokenTransport&) = delete;
+  TokenTransport& operator=(const TokenTransport&) = delete;
+  ~TokenTransport() { Shutdown(); }
 
-  // True when the calling thread is the server's execution context (the
-  // reactor). Server->client calls are only legal from there.
-  virtual bool OnServerThread() const = 0;
+  // Wiring phase (single-threaded, before any call): the gate is the
+  // client's own capability (Client::gate()), released while that client
+  // waits for the token.
+  void RegisterGate(ClientId client, SimMutex* gate) { gates_[client] = gate; }
 
-  // Runs `fn` in the server execution context and waits for completion.
-  // `from` names the submitting client so its gate can be released across
-  // the wait (kInvalidClientId for harness threads that hold no gate).
-  // `timeout_us` bounds the wait (0 = wait forever); on timeout the frame
-  // is abandoned and kWouldBlock/kRpcTimeout returned -- the body is
-  // guaranteed not to have run and not to run later.
-  virtual Status Submit(ClientId from, const std::function<void()>& fn,
-                        uint64_t timeout_us) = 0;
-
-  // The gate registered for `client`, or null if none (base transports keep
-  // no gate table). Lets EndpointLock release a client capability over a
-  // scope wider than one parked frame.
-  virtual SimMutex* GateFor(ClientId /*client*/) const { return nullptr; }
-};
-
-// The lock every server endpoint takes on its caller's thread: the caller's
-// client gate is released first (however deeply it was re-entered), then the
-// node capability is taken and held across the park; the gate comes back
-// after the node capability is dropped. A client thread therefore never
-// waits for a node while holding its own gate: the reactor may be inside
-// that node's frame, delivering callback or recovery traffic into this very
-// client (DESIGN.md section 17). The gate release is a no-op without a
-// transport, on the reactor itself, or when the calling thread does not
-// hold the gate.
-class FINELOG_SCOPED_CAPABILITY EndpointLock {
- public:
-  EndpointLock(SimMutex& mu, Transport* transport, ClientId client)
-      FINELOG_ACQUIRE(mu)
-      : mu_(mu) {
-    if (transport != nullptr && !transport->OnServerThread()) {
-      gate_ = transport->GateFor(client);
-      if (gate_ != nullptr && gate_->HeldByMe()) {
-        gate_depth_ = gate_->FullRelease();
-      } else {
-        gate_ = nullptr;
-      }
-    }
-    mu_.lock();
-  }
-  ~EndpointLock() FINELOG_RELEASE() {
-    mu_.unlock();
-    if (gate_ != nullptr) gate_->Reacquire(gate_depth_);
-  }
-  EndpointLock(const EndpointLock&) = delete;
-  EndpointLock& operator=(const EndpointLock&) = delete;
-
- private:
-  SimMutex& mu_;
-  SimMutex* gate_ = nullptr;
-  int gate_depth_ = 0;
-};
-
-class QueueTransport final : public Transport {
- public:
-  QueueTransport() = default;
-  ~QueueTransport() override;
-
-  // Wiring phase (single-threaded, before Start): the gate is the client's
-  // own capability (Client::gate()), released while that client parks.
-  void RegisterGate(ClientId client, SimMutex* gate);
-
-  void Start();
-  // Stops the reactor and joins it. Frames still queued are completed as
-  // aborted (their waiters get kWouldBlock); idempotent.
+  // Waits for the body in flight (if any) to finish; every later wait for
+  // the token fails with kWouldBlock. Idempotent.
   void Shutdown();
 
-  bool OnServerThread() const override {
-    return std::this_thread::get_id() ==
-           reactor_tid_.load(std::memory_order_acquire);
+  // True when the calling thread holds the token: it is the server's
+  // execution context, and server->client calls are legal from it.
+  bool OnServerThread() const {
+    return holder_.load(std::memory_order_relaxed) ==
+           std::this_thread::get_id();
   }
 
-  Status Submit(ClientId from, const std::function<void()>& fn,
-                uint64_t timeout_us) override;
-
-  SimMutex* GateFor(ClientId client) const override {
-    auto it = gates_.find(client);
-    return it == gates_.end() ? nullptr : it->second;
-  }
+  // Runs `fn` in the server execution context on the calling thread: inline
+  // for the holder, otherwise after taking the token within the limit.
+  // `from` names the calling client so its gate is released across the wait
+  // (kInvalidClientId for harness threads that hold no gate). On timeout or
+  // after Shutdown, `fn` never runs and kWouldBlock/kRpcTimeout returns.
+  Status Submit(ClientId from, const std::function<void()>& fn);
 
   // Serialized harness operation (crash/recover/flush from a test thread):
-  // runs `fn` on the reactor, waiting without limit.
+  // runs `fn` holding the token, waiting for it without limit.
   Status RunOnReactor(const std::function<Status()>& fn);
 
   // Introspection (quiesced reads).
@@ -155,32 +91,86 @@ class QueueTransport final : public Transport {
   }
 
  private:
-  struct Frame {
-    std::function<void()> fn;
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;       // Reactor finished with this frame.
-    bool ran = false;        // fn actually executed (vs abandoned/aborted).
-    bool executing = false;  // Reactor is inside fn right now.
-    bool abandoned = false;  // Waiter timed out; fn must never run.
-  };
+  friend class TokenScope;
 
-  void ReactorLoop();
+  // Takes the token for the calling thread, within the limit when
+  // `bounded`; counts an expired wait in frames_abandoned.
+  Status Acquire(bool bounded);
+  void Release();
 
-  std::map<ClientId, SimMutex*> gates_;  // Immutable after Start().
+  SimMutex* GateFor(ClientId client) const {
+    auto it = gates_.find(client);
+    return it == gates_.end() ? nullptr : it->second;
+  }
 
-  std::mutex qmu_;
-  std::condition_variable qcv_;
-  std::deque<std::shared_ptr<Frame>> queue_;
-  // Written under qmu_ (so the cv wakeup is not missed); atomic because the
-  // reactor also consults it outside qmu_ when deciding to run a frame.
-  std::atomic<bool> stop_{false};
-  bool started_ = false;
+  const uint64_t timeout_us_;
+  std::map<ClientId, SimMutex*> gates_;  // Immutable after wiring.
 
-  std::thread reactor_;
-  std::atomic<std::thread::id> reactor_tid_{std::thread::id()};
+  std::mutex mu_;  // Guards held_ and shut_down_; never held across a body.
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool shut_down_ = false;
+  // Written by the holder under mu_; read by any thread to answer "is the
+  // holder me?", for which a relaxed stale read is safe (a thread can never
+  // observe its own id there unless it wrote it).
+  std::atomic<std::thread::id> holder_{std::thread::id()};
   std::atomic<uint64_t> frames_executed_{0};
   std::atomic<uint64_t> frames_abandoned_{0};
+};
+
+// Holds the token for one scope on behalf of the calling thread. The
+// caller's gate for `from` is released (however deeply it was re-entered)
+// before the wait and taken back after the token is dropped, which keeps
+// the token ahead of every gate in the lock order. `bounded` applies the
+// transport's limit to the wait. A no-op for the holder itself and without a
+// transport.
+class TokenScope {
+ public:
+  TokenScope(TokenTransport* transport, ClientId from, bool bounded = true);
+  ~TokenScope();
+  TokenScope(const TokenScope&) = delete;
+  TokenScope& operator=(const TokenScope&) = delete;
+
+  // Not OK when the wait expired or the transport is shut down: the scope
+  // then holds nothing.
+  const Status& status() const { return status_; }
+
+ private:
+  TokenTransport* acquired_ = nullptr;  // Set while this scope holds it.
+  SimMutex* gate_ = nullptr;
+  int gate_depth_ = 0;
+  Status status_ = Status::OK();
+};
+
+// The lock every server endpoint takes on its caller's thread: the token
+// (TokenScope, within the transport's limit), then the node capability.
+// A client thread therefore never waits for the node while holding its own
+// gate, and the thread holding mu_ always holds the token -- so the body it
+// runs, and every re-entry into the node from that body, stays on one
+// thread (DESIGN.md section 17). When status() is not OK nothing is held
+// and the endpoint must return it at once.
+//
+// mu_ is taken only once the token is held, which the analysis cannot
+// follow: the bodies are exempt, the acquire/release interface is checked.
+class FINELOG_SCOPED_CAPABILITY EndpointLock {
+ public:
+  EndpointLock(SimMutex& mu, TokenTransport* transport, ClientId client)
+      FINELOG_ACQUIRE(mu) FINELOG_NO_THREAD_SAFETY_ANALYSIS
+      : token_(transport, client),
+        mu_(mu) {
+    if (token_.status().ok()) mu_.lock();
+  }
+  ~EndpointLock() FINELOG_RELEASE() FINELOG_NO_THREAD_SAFETY_ANALYSIS {
+    if (token_.status().ok()) mu_.unlock();
+  }
+  EndpointLock(const EndpointLock&) = delete;
+  EndpointLock& operator=(const EndpointLock&) = delete;
+
+  const Status& status() const { return token_.status(); }
+
+ private:
+  TokenScope token_;
+  SimMutex& mu_;
 };
 
 }  // namespace finelog

@@ -140,28 +140,27 @@ Status Server::Bootstrap(uint32_t n, uint32_t objects_per_page,
                          uint32_t object_size) {
   SimMutexLock lock(mu_);
   std::string payload(object_size, '\0');
-  for (uint32_t i = 0; i < n; ++i) {
-    auto alloc = space_map_->AllocatePage();
-    if (!alloc.ok()) return alloc.status();
+  FINELOG_ASSIGN_OR_RETURN(auto pages, space_map_->AllocatePagesInMemory(n));
+  for (const SpaceMap::Allocation& alloc : pages) {
     Page page(config_.page_size);
-    page.Format(alloc.value().page, alloc.value().initial_psn);
+    page.Format(alloc.page, alloc.initial_psn);
     for (uint32_t j = 0; j < objects_per_page; ++j) {
       auto slot = page.CreateObject(payload);
       if (!slot.ok()) return slot.status();
     }
-    FINELOG_RETURN_IF_ERROR(disk_->WritePage(alloc.value().page, &page));
+    FINELOG_RETURN_IF_ERROR(disk_->WritePage(alloc.page, &page));
     ++disk_writes_;
   }
-  return Status::OK();
+  // The map goes last: a preload that failed above left it empty on disk,
+  // so the next System::Create bootstraps again.
+  return space_map_->Persist();
 }
 
 BufferPool::EvictHandler Server::EvictHandler() {
   return [this](PageId pid, BufferPool::Frame& frame) -> Status {
-    // The pool only calls back from inside an endpoint body, whose parked
-    // submitter holds mu_ in real-clock mode: adopt it, then lock
-    // recursively so the analysis sees the capability it can't trace
-    // through the std::function (DESIGN.md section 17).
-    SimMutexAdopt adopt(mu_);
+    // The pool only calls back from inside an endpoint body, whose thread
+    // already holds mu_: lock recursively so the analysis sees the
+    // capability it can't trace through the std::function.
     SimMutexLock lock(mu_);
     if (!frame.dirty) return Status::OK();
     return WritePageToDisk(pid, frame);
@@ -480,6 +479,7 @@ void Server::Serve(ClientId client, AnyServerCall call) {
 template <typename Req>
 ReplyOf<Req> Server::Dispatch(ClientId client, const Req& request) {
   EndpointLock lock(mu_, rpc_->transport(), client);
+  FINELOG_RETURN_IF_ERROR(lock.status());
   if (crashed_) return Status::Crashed("server down");
   if constexpr (requires { request.empty(); }) {
     // An empty batch is answered locally: no message travels.
@@ -1160,10 +1160,11 @@ Status Server::MastershipAdmission() {
 
 Result<uint64_t> Server::FailoverProbe(ClientId client) {
   // An ordinary endpoint, although it can escalate into a takeover whose
-  // restart drain re-enters every client inline on the reactor: the
-  // replays' calls back into this node recurse through ReplayClientLog's
-  // adoption of mu_ (DESIGN.md section 19).
+  // restart drain re-enters every client inline on this thread: the
+  // replays' calls back into this node recurse on mu_ (DESIGN.md
+  // section 19).
   EndpointLock lock(mu_, rpc_->transport(), client);
+  FINELOG_RETURN_IF_ERROR(lock.status());
   if (halted_) return Status::Crashed("standby node down");
   if (mastership_ == nullptr) {
     return Status::FailedPrecondition("mastership not configured");
@@ -1224,8 +1225,7 @@ Status Server::TakeOver(const MastershipTable::Grant& grant) {
   // Restart recovery (Sections 3.4-3.5): reconstructs the DCT from the
   // durable store plus the clients' logs, honoring instant_restart so
   // admission can open before every page is repaired. RestartLocked, not
-  // Restart: mu_ is already held (cooperatively by the parked prober in
-  // real-clock mode, where re-acquiring would deadlock the reactor).
+  // Restart: the probing endpoint already holds mu_.
   return RestartLocked();
 }
 

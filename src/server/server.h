@@ -89,6 +89,7 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
 
   // Bootstrap: allocate and format `n` pages each pre-loaded with
   // `objects_per_page` objects of `object_size` bytes, flushed to disk.
+  // The space map is persisted once, after the last page write.
   Status Bootstrap(uint32_t n, uint32_t objects_per_page, uint32_t object_size);
 
   // Administrative page deallocation (quiescent operation: no client may
@@ -334,9 +335,8 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
   // instant_restart is set.
   Status TakeOver(const MastershipTable::Grant& grant) FINELOG_REQUIRES(mu_);
 
-  // Restart body for callers that already hold mu_. TakeOver runs inside a
-  // probe frame whose mu_ is held cooperatively by the parked prober, so it
-  // must not re-acquire (the owner is another thread: not a recursion).
+  // Restart body for callers that already hold mu_ (TakeOver, inside the
+  // probing endpoint).
   Status RestartLocked() FINELOG_REQUIRES(mu_);
 
   // Drops to cold standby: volatile protocol state gone, store handles
@@ -466,8 +466,8 @@ class FINELOG_SHARED_STATE_CLASS Server : public FailoverNode {
   void FinishLazyRecovery() FINELOG_REQUIRES(mu_);
 
   // Capability guarding the server's shared protocol state. Uncontended in
-  // the simulation; in the real-clock mode every endpoint body takes it on
-  // the reactor thread (recursively across nested endpoint calls).
+  // the simulation; in the real-clock mode the server token's holder takes
+  // it (recursively across nested endpoint calls).
   mutable SimMutex mu_;
 
   SystemConfig config_ FINELOG_UNGUARDED("immutable after construction");

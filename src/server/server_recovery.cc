@@ -289,11 +289,8 @@ Status Server::ReplayClientLog(PageId pid, ClientId client, Psn up_to) {
 
   // The replay re-enters this node from the client's handler: the recovered
   // copy ships back through ShipPage, a hand-off record asks for an ordered
-  // fetch. In real-clock mode the handler runs inline on the reactor while
-  // the parked submitter of the current frame nominally holds mu_, so the
-  // body adopts mu_ for the call and those re-entries recurse instead of
-  // deadlocking (DESIGN.md section 17).
-  SimMutexAdopt adopt(mu_);
+  // fetch. The handler runs on this thread, which holds mu_, so those
+  // re-entries recurse (DESIGN.md section 17).
   return rpc_->Exchange(client, wire::RecRecoverPage{base_image.value()}, [&] {
     return endpoint->HandleRecRecoverPage(pid, list.value(), base_image.value(),
                                           base_psn, up_to);

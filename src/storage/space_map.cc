@@ -68,17 +68,27 @@ Status SpaceMap::Persist() const {
 }
 
 Result<SpaceMap::Allocation> SpaceMap::AllocatePage() {
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (!entries_[i].allocated) {
-      entries_[i].allocated = true;
-      // New incarnation starts past old PSNs.
-      entries_[i].last_psn = entries_[i].last_psn.Next();
-      FINELOG_RETURN_IF_ERROR(Persist());
-      return Allocation{PageId(static_cast<uint32_t>(i)),
-                        entries_[i].last_psn};
-    }
+  FINELOG_ASSIGN_OR_RETURN(auto pages, AllocatePagesInMemory(1));
+  FINELOG_RETURN_IF_ERROR(Persist());
+  return pages[0];
+}
+
+Result<std::vector<SpaceMap::Allocation>> SpaceMap::AllocatePagesInMemory(
+    uint32_t n) {
+  if (num_pages() - allocated_count() < n) {
+    return Status::FailedPrecondition("database full: no free pages");
   }
-  return Status::FailedPrecondition("database full: no free pages");
+  std::vector<Allocation> out;
+  out.reserve(n);
+  for (size_t i = 0; i < entries_.size() && out.size() < n; ++i) {
+    if (entries_[i].allocated) continue;
+    entries_[i].allocated = true;
+    // New incarnation starts past old PSNs.
+    entries_[i].last_psn = entries_[i].last_psn.Next();
+    out.push_back(
+        Allocation{PageId(static_cast<uint32_t>(i)), entries_[i].last_psn});
+  }
+  return out;
 }
 
 Status SpaceMap::DeallocatePage(PageId page, Psn final_psn) {

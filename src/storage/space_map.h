@@ -40,6 +40,12 @@ class SpaceMap {
   };
   Result<Allocation> AllocatePage();
 
+  // Allocates `n` free pages (all or none) in memory only; Persist() makes
+  // them durable. The bootstrap preload persists once, after the last page
+  // write, so a preload that fails part-way leaves the on-disk map empty.
+  Result<std::vector<Allocation>> AllocatePagesInMemory(uint32_t n);
+  Status Persist() const;
+
   // Deallocates `page`, recording `final_psn` for future reallocations.
   Status DeallocatePage(PageId page, Psn final_psn);
 
@@ -63,7 +69,6 @@ class SpaceMap {
 
   explicit SpaceMap(std::string path) : path_(std::move(path)) {}
 
-  Status Persist() const;
   Status Load(uint32_t num_pages);
 
   std::string path_;

@@ -127,7 +127,7 @@ class FaultInjector {
 
   Metrics* metrics_ = nullptr;
   // Serializes Evaluate against itself: real-clock runs hit fail points
-  // from every client thread and the reactor. The hit total additionally
+  // from every client thread. The hit total additionally
   // stays an atomic so the lock-free accessor above can't tear.
   mutable std::mutex mu_;
   std::optional<Armed> armed_;

@@ -159,8 +159,7 @@ constexpr std::string_view CounterName(Counter c) {
 }
 
 // Counters are relaxed atomics: in the real-clock execution mode
-// (DESIGN.md section 17) every client thread and the server reactor
-// increment concurrently, and no code orders memory against a counter --
+// (DESIGN.md section 17) every client thread increments concurrently, and no code orders memory against a counter --
 // they are pure statistics, summed and snapshotted after the threads join.
 class Metrics {
  public:

@@ -4,6 +4,7 @@
 
 #include "core/system.h"
 #include "tests/test_util.h"
+#include "util/fault.h"
 
 namespace finelog {
 namespace {
@@ -45,6 +46,26 @@ TEST_F(IntegrationTest, ReadBootstrapObject) {
   Start("read_bootstrap");
   std::string v = ReadCommitted(0, ObjectId{PageId(0), 0});
   EXPECT_EQ(v, std::string(system_->config().object_size, '\0'));
+}
+
+// A preload that fails part-way must leave no allocated page behind: the
+// space map is persisted only after the last page write, so the next Create
+// on the same directory bootstraps again and every preloaded page exists.
+TEST_F(IntegrationTest, FailedPreloadBootstrapsAgain) {
+  FaultInjector injector;
+  SystemConfig config = SmallConfig("failed_preload");
+  config.fault_injector = &injector;
+  injector.ArmPoint("server.disk.page", 5, FaultAction::kError);
+  EXPECT_FALSE(System::Create(config).ok());
+  ASSERT_TRUE(injector.triggered());
+  injector.Disarm();
+
+  Start(config);
+  for (uint32_t p = 0; p < config.preloaded_pages; ++p) {
+    EXPECT_EQ(ReadCommitted(0, ObjectId{PageId(p), 0}),
+              Val(config, '\0'))
+        << "page " << p;
+  }
 }
 
 TEST_F(IntegrationTest, WriteReadBackSameClient) {

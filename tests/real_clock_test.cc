@@ -1,9 +1,12 @@
 // Real-clock execution mode (DESIGN.md section 17): the same protocol
 // stack, driven by std::threads against a monotonic clock, with the
-// QueueTransport reactor behind the Rpc chokepoint and fdatasync behind
-// every log force.
+// TokenTransport (one server execution token) behind the Rpc chokepoint and
+// fdatasync behind every log force.
 //
-// Two obligations, two halves:
+// Three obligations:
+//  - The token's own contract: a bounded wait, inline nesting for the
+//    holder, refusal after shutdown -- and no stall when the harness crashes
+//    a client while another client's thread is calling the server.
 //  - The parameterized smoke suite runs each scenario in BOTH modes --
 //    kSimulated from the main thread (the deterministic oracle) and
 //    kRealClock with one thread per client -- and asserts the protocol
@@ -414,8 +417,8 @@ TEST_P(ExecModeTest, InstantRestartClientThreadsRepairOnFirstRead) {
 
 // Each client thread commits a few transactions and leaves one open with
 // its updates forced and shipped. Every client then crashes and restarts
-// (between the thread phases: the harness crash runs on the reactor, so it
-// waits for quiescence). Restart keeps the committed values, rolls the open
+// (between the thread phases: the harness crash takes the server token, so
+// it waits for any call in flight). Restart keeps the committed values, rolls the open
 // transactions back, and leaves each client with no transaction in its
 // table.
 TEST_P(ExecModeTest, ClientCrashRestartRollsBackOpenTxns) {
@@ -484,6 +487,141 @@ TEST_P(ExecModeTest, ClientCrashRestartRollsBackOpenTxns) {
   if (real()) {
     EXPECT_EQ(system->transport()->frames_abandoned(), 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The server execution token.
+// ---------------------------------------------------------------------------
+
+// Spins until `flag` is set (the tests below hand the token between two
+// threads; atomics keep the hand-off visible to TSan).
+void AwaitFlag(const std::atomic<bool>& flag) {
+  while (!flag.load()) std::this_thread::yield();
+}
+
+TEST(TokenTransportTest, WaitForHeldTokenExpiresWithoutRunningBody) {
+  TokenTransport transport(/*timeout_us=*/50 * 1000);
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    Status st = transport.RunOnReactor([&] {
+      holding.store(true);
+      AwaitFlag(release);
+      return Status::OK();
+    });
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  });
+  AwaitFlag(holding);
+
+  bool ran = false;
+  Status st = transport.Submit(kInvalidClientId, [&] { ran = true; });
+  EXPECT_TRUE(st.IsWouldBlock()) << st.ToString();
+  EXPECT_EQ(st.would_block_reason(), WouldBlockReason::kRpcTimeout);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(transport.frames_abandoned(), 1u);
+
+  release.store(true);
+  holder.join();
+  EXPECT_EQ(transport.frames_executed(), 1u);
+}
+
+TEST(TokenTransportTest, HolderRunsNestedSubmitInline) {
+  TokenTransport transport(/*timeout_us=*/50 * 1000);
+  EXPECT_FALSE(transport.OnServerThread());
+  bool outer_holds = false;
+  bool nested_holds = false;
+  std::thread::id nested_thread;
+  Status nested = Status::OK();
+  Status st = transport.RunOnReactor([&] {
+    outer_holds = transport.OnServerThread();
+    nested = transport.Submit(kInvalidClientId, [&] {
+      nested_holds = transport.OnServerThread();
+      nested_thread = std::this_thread::get_id();
+    });
+    return Status::OK();
+  });
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_TRUE(nested.ok()) << nested.ToString();
+  EXPECT_TRUE(outer_holds);
+  EXPECT_TRUE(nested_holds);
+  EXPECT_EQ(nested_thread, std::this_thread::get_id());
+  EXPECT_FALSE(transport.OnServerThread());
+  EXPECT_EQ(transport.frames_executed(), 2u);
+  EXPECT_EQ(transport.frames_abandoned(), 0u);
+}
+
+TEST(TokenTransportTest, SubmitAfterShutdownIsRefused) {
+  TokenTransport transport(/*timeout_us=*/0);
+  transport.Shutdown();
+  bool ran = false;
+  Status st = transport.Submit(kInvalidClientId, [&] { ran = true; });
+  EXPECT_TRUE(st.IsWouldBlock()) << st.ToString();
+  EXPECT_FALSE(ran);
+  EXPECT_TRUE(transport.RunOnReactor([] { return Status::OK(); })
+                  .IsWouldBlock());
+  EXPECT_EQ(transport.frames_executed(), 0u);
+}
+
+// The harness crashes and recovers client 0 thirty times while client 1's
+// thread commits and ships pages. A crash takes the server token, and the
+// thread that holds the node capability always holds the token, so the
+// crash only ever waits for the one call in flight -- never for a call's
+// time limit.
+TEST(RealClockCrashTest, ClientCrashesDuringTrafficDoNotStall) {
+  SystemConfig config = SmallConfig("rc_crash_traffic");
+  config.exec_mode = ExecMode::kRealClock;
+  config.num_clients = 2;
+  config.realclock_rpc_timeout_us = 2 * 1000 * 1000;
+  auto system = System::Create(config).value();
+  const auto start = std::chrono::steady_clock::now();
+  const auto deadline = start + std::chrono::seconds(5);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> commits{0};
+  std::atomic<int> failures{0};
+  std::thread traffic([&] {
+    Client& c = system->client(1);
+    for (int t = 0; !stop.load(); ++t) {
+      auto txn = c.Begin();
+      if (!txn.ok() ||
+          !c.Write(txn.value(), ObjectId{PageId(1), 0},
+                   std::string(64, static_cast<char>('a' + t % 26)))
+               .ok() ||
+          !c.Commit(txn.value()).ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      commits.fetch_add(1);
+      if (!c.ShipAllDirtyPages().ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+    }
+  });
+
+  int cycles = 0;
+  for (; cycles < 30; ++cycles) {
+    const uint64_t target = commits.load() + 3;
+    while (commits.load() < target && failures.load() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (commits.load() < target) break;
+    Status st = system->CrashClient(0);
+    if (st.ok()) st = system->RecoverClient(0);
+    if (!st.ok()) {
+      ADD_FAILURE() << "cycle " << cycles << ": " << st.ToString();
+      break;
+    }
+  }
+  stop.store(true);
+  traffic.join();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+
+  EXPECT_EQ(cycles, 30);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(system->transport()->frames_abandoned(), 0u);
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
 }
 
 INSTANTIATE_TEST_SUITE_P(BothModes, ExecModeTest,
