@@ -1,12 +1,22 @@
-// E9 -- Ablation microbenchmarks (google-benchmark).
+// E9 -- Ablation microbenchmarks (plain std::chrono loops).
 //
 // (a) Merging page *copies* vs merging *log records* (Section 3.1: the paper
 //     rejects log-record merging [19, 2] as "expensive and I/O intensive"
 //     and chooses copy merging, which costs CPU only).
 // (b) The PSN merge bump (max+1): how cheap the bookkeeping is that makes
 //     equal-PSN copies distinguishable (Section 2).
+//
+// Each case runs in batches that grow until one lasts at least 20 ms; the
+// reported time per operation is the best of 5 such batches. Wall-clock
+// numbers depend on the machine, so the table is advisory: the claims are
+// the ratios, not the absolute times.
 
-#include <benchmark/benchmark.h>
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "log/log_record.h"
 #include "server/page_merge.h"
@@ -19,6 +29,33 @@ constexpr uint32_t kPageSize = 4096;
 constexpr int kSlots = 16;
 constexpr int kObjectSize = 128;
 
+// Keeps the compiler from discarding a computed value.
+template <typename T>
+void Keep(const T& value) {
+  asm volatile("" : : "g"(&value) : "memory");
+}
+
+// Nanoseconds per call of `op`: the best of 5 batches of at least 20 ms.
+template <typename Op>
+double NsPerOp(Op op) {
+  using Clock = std::chrono::steady_clock;
+  auto batch_ns = [&op](uint64_t iters) {
+    auto start = Clock::now();
+    for (uint64_t i = 0; i < iters; ++i) op();
+    return std::chrono::duration<double, std::nano>(Clock::now() - start)
+        .count();
+  };
+  uint64_t iters = 1;
+  double ns = batch_ns(iters);
+  while (ns < 2e7) {
+    iters *= 2;
+    ns = batch_ns(iters);
+  }
+  double best = ns;
+  for (int rep = 1; rep < 5; ++rep) best = std::min(best, batch_ns(iters));
+  return best / static_cast<double>(iters);
+}
+
 Page MakeBase() {
   Page page(kPageSize);
   page.Format(PageId(1), Psn(10));
@@ -29,8 +66,7 @@ Page MakeBase() {
 }
 
 // (a1) Copy merging: overlay K modified objects from a shipped copy.
-void BM_MergePageCopies(benchmark::State& state) {
-  int modified = static_cast<int>(state.range(0));
+double MergePageCopiesNs(int modified) {
   Page base = MakeBase();
   Page remote = base;
   ShippedPage shipped;
@@ -42,19 +78,16 @@ void BM_MergePageCopies(benchmark::State& state) {
   }
   remote.set_psn(Psn(20));
   shipped.image = remote.raw();
-  for (auto _ : state) {
+  return NsPerOp([&] {
     Page local = base;
-    benchmark::DoNotOptimize(MergeShippedPage(&local, shipped));
-  }
-  state.SetItemsProcessed(state.iterations() * modified);
+    Keep(MergeShippedPage(&local, shipped));
+  });
 }
-BENCHMARK(BM_MergePageCopies)->Arg(1)->Arg(4)->Arg(16);
 
 // (a2) Log-record merging: decode and apply K update records, the rejected
 // alternative. (A real implementation would also pay log I/O to read the
 // other node's records; this measures the pure CPU floor.)
-void BM_MergeLogRecords(benchmark::State& state) {
-  int records = static_cast<int>(state.range(0));
+double MergeLogRecordsNs(int records) {
   Page base = MakeBase();
   std::vector<std::string> encoded;
   for (int i = 0; i < records; ++i) {
@@ -64,55 +97,71 @@ void BM_MergeLogRecords(benchmark::State& state) {
         std::string(kObjectSize, 'a'));
     encoded.push_back(rec.Encode());
   }
-  for (auto _ : state) {
+  return NsPerOp([&] {
     Page local = base;
     for (const std::string& bytes : encoded) {
       auto rec = LogRecord::Decode(bytes);
-      benchmark::DoNotOptimize(
-          local.WriteObject(rec.value().slot, rec.value().redo));
+      Keep(local.WriteObject(rec.value().slot, rec.value().redo));
     }
-  }
-  state.SetItemsProcessed(state.iterations() * records);
+  });
 }
-BENCHMARK(BM_MergeLogRecords)->Arg(1)->Arg(4)->Arg(16);
 
 // (b) The merge PSN bookkeeping alone.
-void BM_PsnMergeBump(benchmark::State& state) {
+double PsnMergeBumpNs() {
   Page a = MakeBase();
   Page b = MakeBase();
-  for (auto _ : state) {
+  return NsPerOp([&] {
     Psn merged = Psn::Merge(a.psn(), b.psn());
     a.set_psn(merged);
-    benchmark::DoNotOptimize(merged);
-  }
+    Keep(merged);
+  });
 }
-BENCHMARK(BM_PsnMergeBump);
 
 // Supporting micro: full page round trip through the checksum (disk path).
-void BM_PageChecksum(benchmark::State& state) {
+double PageChecksumNs() {
   Page page = MakeBase();
-  for (auto _ : state) {
+  return NsPerOp([&] {
     page.UpdateChecksum();
-    benchmark::DoNotOptimize(page.VerifyChecksum());
-  }
-  state.SetBytesProcessed(state.iterations() * kPageSize * 2);
+    Keep(page.VerifyChecksum());
+  });
 }
-BENCHMARK(BM_PageChecksum);
 
 // Supporting micro: log record encode/decode (the private-log write path).
-void BM_LogRecordRoundTrip(benchmark::State& state) {
+double LogRecordRoundTripNs() {
   LogRecord rec = LogRecord::Update(TxnId(1), Lsn(100), PageId(5), 3,
                                     UpdateOp::kOverwrite, Psn(42),
                                     std::string(kObjectSize, 'r'),
                                     std::string(kObjectSize, 'u'));
-  for (auto _ : state) {
+  return NsPerOp([&] {
     std::string bytes = rec.Encode();
-    benchmark::DoNotOptimize(LogRecord::Decode(bytes));
-  }
+    Keep(LogRecord::Decode(bytes));
+  });
 }
-BENCHMARK(BM_LogRecordRoundTrip);
 
 }  // namespace
 }  // namespace finelog
 
-BENCHMARK_MAIN();
+int main() {
+  using namespace finelog;
+  std::printf(
+      "E9: merge ablation (%u-byte page, %d objects of %d bytes; best of 5 "
+      "batches of >= 20 ms)\n\n",
+      kPageSize, kSlots, kObjectSize);
+  std::printf("%4s %14s %16s %14s %16s %12s\n", "K", "copy_merge_ns",
+              "record_merge_ns", "copy_items/s", "record_items/s",
+              "record/copy");
+  for (int k : {1, 4, 16}) {
+    double copy_ns = MergePageCopiesNs(k);
+    double record_ns = MergeLogRecordsNs(k);
+    std::printf("%4d %14.1f %16.1f %13.1fM %15.1fM %12.2f\n", k, copy_ns,
+                record_ns, k * 1e3 / copy_ns, k * 1e3 / record_ns,
+                record_ns / copy_ns);
+  }
+  double checksum_ns = PageChecksumNs();
+  std::printf("\n%-28s %10.2f ns\n", "psn_merge_bump", PsnMergeBumpNs());
+  std::printf("%-28s %10.1f ns  %8.1f MB/s\n", "page_checksum_round_trip",
+              checksum_ns, 2.0 * kPageSize * 1e3 / checksum_ns);
+  std::printf("%-28s %10.1f ns\n", "log_record_round_trip",
+              LogRecordRoundTripNs());
+  return 0;
+}

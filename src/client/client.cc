@@ -1137,13 +1137,10 @@ Client::CallbackReply Client::HandlePageCallback(PageId pid,
   CallbackReply reply;
   if (crashed_) return reply;
   // Deny while any local transaction uses the page (or objects on it).
-  if (requested == LockMode::kExclusive) {
-    if (!llm_.CanDeescalatePage(pid)) return reply;
-    for (const ObjectId& oid : llm_.ExclusiveObjects()) {
-      if (oid.page == pid && !llm_.CanReleaseObject(oid)) return reply;
-    }
-  } else {
-    if (!llm_.CanDeescalatePage(pid)) return reply;
+  if (!llm_.CanDeescalatePage(pid)) return reply;
+  if (requested == LockMode::kExclusive &&
+      llm_.ExclusiveObjectInUseOnPage(pid)) {
+    return reply;
   }
   reply.granted = true;
 

@@ -207,12 +207,6 @@ inline std::string ToString(const ObjectId& oid) {
   return ToString(oid.page) + ":" + std::to_string(oid.slot);
 }
 
-struct ObjectIdHash {
-  size_t operator()(const ObjectId& oid) const {
-    return std::hash<uint64_t>()((uint64_t(oid.page.value()) << 16) | oid.slot);
-  }
-};
-
 }  // namespace finelog
 
 // Hash support so strong IDs drop into unordered containers unchanged.

@@ -60,23 +60,18 @@ std::vector<CallbackAction> GlobalLockManager::RequiredForPage(
     }
   }
 
-  auto idx = objects_on_page_.find(pid);
-  if (idx != objects_on_page_.end()) {
-    for (const ObjectId& oid : idx->second) {
-      auto oit = object_locks_.find(oid);
-      if (oit == object_locks_.end()) continue;
-      for (const auto& [holder, held] : oit->second) {
-        if (holder == client) continue;
-        if (Compatible(held, mode)) continue;
-        if (mode == LockMode::kShared) {
-          actions.push_back(CallbackAction{
-              CallbackAction::What::kDowngradeObject, holder, oid,
-              kInvalidPageId, held, mode});
-        } else {
-          actions.push_back(CallbackAction{CallbackAction::What::kReleaseObject,
-                                           holder, oid, kInvalidPageId, held,
-                                           mode});
-        }
+  for (const auto& [oid, holders] : ObjectsOnPage(object_locks_, pid)) {
+    for (const auto& [holder, held] : holders) {
+      if (holder == client) continue;
+      if (Compatible(held, mode)) continue;
+      if (mode == LockMode::kShared) {
+        actions.push_back(CallbackAction{CallbackAction::What::kDowngradeObject,
+                                         holder, oid, kInvalidPageId, held,
+                                         mode});
+      } else {
+        actions.push_back(CallbackAction{CallbackAction::What::kReleaseObject,
+                                         holder, oid, kInvalidPageId, held,
+                                         mode});
       }
     }
   }
@@ -90,7 +85,6 @@ void GlobalLockManager::GrantObject(ClientId client, ObjectId oid,
                        .try_emplace(client, mode)
                        .first->second;
   if (mode == LockMode::kExclusive) held = LockMode::kExclusive;
-  objects_on_page_[oid.page].insert(oid);
 }
 
 void GlobalLockManager::GrantPage(ClientId client, PageId pid, LockMode mode) {
@@ -104,14 +98,7 @@ void GlobalLockManager::ReleaseObject(ClientId client, ObjectId oid) {
   auto oit = object_locks_.find(oid);
   if (oit == object_locks_.end()) return;
   oit->second.erase(client);
-  if (oit->second.empty()) {
-    object_locks_.erase(oit);
-    auto idx = objects_on_page_.find(oid.page);
-    if (idx != objects_on_page_.end()) {
-      idx->second.erase(oid);
-      if (idx->second.empty()) objects_on_page_.erase(idx);
-    }
-  }
+  if (oit->second.empty()) object_locks_.erase(oit);
 }
 
 void GlobalLockManager::DowngradeObject(ClientId client, ObjectId oid) {
@@ -153,14 +140,8 @@ void GlobalLockManager::ReleaseSharedLocksOf(ClientId client) {
   for (auto it = object_locks_.begin(); it != object_locks_.end();) {
     auto hit = it->second.find(client);
     if (hit != it->second.end() && hit->second == LockMode::kShared) {
-      ObjectId oid = it->first;
       it->second.erase(hit);
       if (it->second.empty()) {
-        auto idx = objects_on_page_.find(oid.page);
-        if (idx != objects_on_page_.end()) {
-          idx->second.erase(oid);
-          if (idx->second.empty()) objects_on_page_.erase(idx);
-        }
         it = object_locks_.erase(it);
         continue;
       }
@@ -190,9 +171,6 @@ std::vector<ObjectId> GlobalLockManager::ExclusiveObjectLocksOf(
       out.push_back(oid);
     }
   }
-  // The table is unordered; recovery re-installs these locks in list order,
-  // so sort to keep that order (and every downstream log) deterministic.
-  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -210,37 +188,10 @@ std::vector<PageId> GlobalLockManager::ExclusivePageLocksOf(
   return out;
 }
 
-void GlobalLockManager::DropClient(ClientId client) {
-  SimMutexLock lock(mu_);
-  for (auto it = object_locks_.begin(); it != object_locks_.end();) {
-    it->second.erase(client);
-    if (it->second.empty()) {
-      ObjectId oid = it->first;
-      auto idx = objects_on_page_.find(oid.page);
-      if (idx != objects_on_page_.end()) {
-        idx->second.erase(oid);
-        if (idx->second.empty()) objects_on_page_.erase(idx);
-      }
-      it = object_locks_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = page_locks_.begin(); it != page_locks_.end();) {
-    it->second.erase(client);
-    if (it->second.empty()) {
-      it = page_locks_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 void GlobalLockManager::Clear() {
   SimMutexLock lock(mu_);
   object_locks_.clear();
   page_locks_.clear();
-  objects_on_page_.clear();
 }
 
 bool GlobalLockManager::HoldsObject(ClientId client, ObjectId oid,
@@ -261,27 +212,16 @@ bool GlobalLockManager::HoldsPage(ClientId client, PageId pid,
   return hit != pit->second.end() && Covers(hit->second, mode);
 }
 
-std::vector<ClientId> GlobalLockManager::ObjectHolders(ObjectId oid,
-                                                       ClientId except) const {
+bool GlobalLockManager::HoldsExclusiveObjectOnPage(ClientId client,
+                                                   PageId pid) const {
   SimMutexLock lock(mu_);
-  std::vector<ClientId> out;
-  auto oit = object_locks_.find(oid);
-  if (oit == object_locks_.end()) return out;
-  for (const auto& [holder, mode] : oit->second) {
-    (void)mode;
-    if (holder != except) out.push_back(holder);
+  for (const auto& [oid, holders] : ObjectsOnPage(object_locks_, pid)) {
+    auto hit = holders.find(client);
+    if (hit != holders.end() && hit->second == LockMode::kExclusive) {
+      return true;
+    }
   }
-  return out;
-}
-
-size_t GlobalLockManager::object_lock_count() const {
-  SimMutexLock lock(mu_);
-  size_t n = 0;
-  for (const auto& [oid, holders] : object_locks_) {
-    (void)oid;
-    n += holders.size();
-  }
-  return n;
+  return false;
 }
 
 }  // namespace finelog

@@ -19,7 +19,6 @@
 #define FINELOG_LOCK_GLM_H_
 
 #include <map>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -77,12 +76,10 @@ class FINELOG_SHARED_STATE_CLASS GlobalLockManager {
   // Client crash (Section 3.3): shared locks are released; exclusive locks
   // are retained so the recovering client can re-install them.
   void ReleaseSharedLocksOf(ClientId client);
-  // Exclusive object locks held by `client` (used for lock re-installation).
+  // Exclusive object locks held by `client`, in (page, slot) order (used for
+  // lock re-installation and zombie fencing).
   std::vector<ObjectId> ExclusiveObjectLocksOf(ClientId client) const;
   std::vector<PageId> ExclusivePageLocksOf(ClientId client) const;
-
-  // Drops every lock of `client` (used when rebuilding GLM state).
-  void DropClient(ClientId client);
 
   // Full reset (server crash loses the GLM; Section 3.4 rebuilds it from
   // client LLM snapshots via GrantObject/GrantPage).
@@ -91,26 +88,23 @@ class FINELOG_SHARED_STATE_CLASS GlobalLockManager {
   // Queries.
   bool HoldsObject(ClientId client, ObjectId oid, LockMode mode) const;
   bool HoldsPage(ClientId client, PageId pid, LockMode mode) const;
-  // Clients other than `except` holding any lock on the object.
-  std::vector<ClientId> ObjectHolders(ObjectId oid, ClientId except) const;
-  size_t object_lock_count() const;
+  // True if `client` holds an exclusive lock on some object of page `pid`.
+  bool HoldsExclusiveObjectOnPage(ClientId client, PageId pid) const;
 
  private:
-  // client -> mode, per lockable. The outer tables are hash maps -- the
-  // server touches them on every lock request, and nothing iterates them in
-  // a way that escapes unsorted (the lock-reinstallation snapshots below
-  // sort before returning). The inner holder maps and the per-page object
-  // index stay ordered: callback actions are generated by iterating them,
-  // and their order is part of the protocol's deterministic behavior.
+  // client -> mode, per lockable. The object table is ordered by (page,
+  // slot), so one page's object locks are the contiguous range starting at
+  // lower_bound(ObjectId{pid, 0}); per-page queries read that range and
+  // nothing else. The page table is a hash map: it is only ever probed by
+  // key. The inner holder maps are ordered: callback actions are generated
+  // by iterating them, and their order is part of the protocol's
+  // deterministic behavior.
   // Guarded by the owning Server's mu_ in spirit; the GLM carries its own
   // capability so it stays checkable when sharding gives each shard a GLM.
   mutable SimMutex mu_;
-  std::unordered_map<ObjectId, std::map<ClientId, LockMode>, ObjectIdHash>
-      object_locks_ FINELOG_GUARDED_BY(mu_);
-  std::unordered_map<PageId, std::map<ClientId, LockMode>> page_locks_
+  std::map<ObjectId, std::map<ClientId, LockMode>> object_locks_
       FINELOG_GUARDED_BY(mu_);
-  // Secondary index: object locks present on each page.
-  std::unordered_map<PageId, std::set<ObjectId>> objects_on_page_
+  std::unordered_map<PageId, std::map<ClientId, LockMode>> page_locks_
       FINELOG_GUARDED_BY(mu_);
 };
 

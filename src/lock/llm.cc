@@ -1,7 +1,5 @@
 #include "lock/llm.h"
 
-#include <algorithm>
-
 namespace finelog {
 
 namespace {
@@ -58,12 +56,7 @@ LocalLockManager::Acquire LocalLockManager::TryAcquireObject(TxnId txn,
     }
     // Record an implicit object entry under the page lock.
     Entry& imp = object_locks_[oid];
-    if (e == nullptr) {
-      imp.mode = mode;
-      imp.known_to_server = false;
-    } else if (mode == LockMode::kExclusive) {
-      imp.mode = LockMode::kExclusive;
-    }
+    if (e == nullptr || mode == LockMode::kExclusive) imp.mode = mode;
     RegisterUse(&imp, txn, mode);
     return Acquire::kHit;
   }
@@ -91,8 +84,7 @@ LocalLockManager::Acquire LocalLockManager::TryAcquirePage(TxnId txn,
   }
   // A page request also conflicts with other local transactions' object
   // locks on the page.
-  for (const auto& [oid, entry] : object_locks_) {
-    if (oid.page != pid) continue;
+  for (const auto& [oid, entry] : ObjectsOnPage(object_locks_, pid)) {
     if (LocalConflict(entry, txn, mode)) return Acquire::kLocalConflict;
   }
   return Acquire::kMiss;
@@ -102,7 +94,6 @@ void LocalLockManager::AddObjectLock(TxnId txn, ObjectId oid, LockMode mode) {
   SimMutexLock lock(mu_);
   Entry& e = object_locks_[oid];
   if (e.mode != LockMode::kExclusive) e.mode = mode;
-  e.known_to_server = true;
   RegisterUse(&e, txn, mode);
 }
 
@@ -110,7 +101,6 @@ void LocalLockManager::AddPageLock(TxnId txn, PageId pid, LockMode mode) {
   SimMutexLock lock(mu_);
   Entry& e = page_locks_[pid];
   if (e.mode != LockMode::kExclusive) e.mode = mode;
-  e.known_to_server = true;
   RegisterUse(&e, txn, mode);
 }
 
@@ -180,9 +170,7 @@ std::vector<std::pair<ObjectId, LockMode>> LocalLockManager::Deescalate(
   // read under a page-S lock did not touch identified objects. Object
   // accesses made implicit entries below, which carry the users.
   page_locks_.erase(pit);
-  for (auto& [oid, e] : object_locks_) {
-    if (oid.page != pid) continue;
-    e.known_to_server = true;
+  for (const auto& [oid, e] : ObjectsOnPage(object_locks_, pid)) {
     promoted.emplace_back(oid, e.mode);
   }
   return promoted;
@@ -191,10 +179,18 @@ std::vector<std::pair<ObjectId, LockMode>> LocalLockManager::Deescalate(
 size_t LocalLockManager::ExclusiveObjectCountOnPage(PageId pid) const {
   SimMutexLock lock(mu_);
   size_t n = 0;
-  for (const auto& [oid, e] : object_locks_) {
-    if (oid.page == pid && e.mode == LockMode::kExclusive) ++n;
+  for (const auto& [oid, e] : ObjectsOnPage(object_locks_, pid)) {
+    if (e.mode == LockMode::kExclusive) ++n;
   }
   return n;
+}
+
+bool LocalLockManager::ExclusiveObjectInUseOnPage(PageId pid) const {
+  SimMutexLock lock(mu_);
+  for (const auto& [oid, e] : ObjectsOnPage(object_locks_, pid)) {
+    if (e.mode == LockMode::kExclusive && e.InUse()) return true;
+  }
+  return false;
 }
 
 bool LocalLockManager::CoversObject(ObjectId oid, LockMode mode) const {
@@ -213,41 +209,20 @@ bool LocalLockManager::CoversPage(PageId pid, LockMode mode) const {
 
 bool LocalLockManager::HasAnyLockOnPage(PageId pid) const {
   SimMutexLock lock(mu_);
-  if (page_locks_.count(pid) > 0) return true;
-  for (const auto& [oid, e] : object_locks_) {
-    (void)e;
-    if (oid.page == pid) return true;
-  }
-  return false;
+  return page_locks_.count(pid) > 0 ||
+         !ObjectsOnPage(object_locks_, pid).empty();
 }
 
-bool LocalLockManager::HoldsExplicitObject(ObjectId oid, LockMode mode) const {
-  SimMutexLock lock(mu_);
-  const Entry* e = FindObject(oid);
-  return e != nullptr && e->known_to_server && Covers(e->mode, mode);
-}
-
-LocalLockManager::Snapshot LocalLockManager::GetSnapshot() {
+LocalLockManager::Snapshot LocalLockManager::GetSnapshot() const {
   SimMutexLock lock(mu_);
   Snapshot snap;
-  for (auto& [oid, e] : object_locks_) {
+  for (const auto& [oid, e] : object_locks_) {
     snap.objects.emplace_back(oid, e.mode);
-    e.known_to_server = true;  // The server now knows about this entry.
   }
-  for (auto& [pid, e] : page_locks_) {
+  for (const auto& [pid, e] : page_locks_) {
     snap.pages.emplace_back(pid, e.mode);
-    e.known_to_server = true;
   }
   return snap;
-}
-
-std::vector<ObjectId> LocalLockManager::ExclusiveObjects() const {
-  SimMutexLock lock(mu_);
-  std::vector<ObjectId> out;
-  for (const auto& [oid, e] : object_locks_) {
-    if (e.mode == LockMode::kExclusive) out.push_back(oid);
-  }
-  return out;
 }
 
 void LocalLockManager::Clear() {

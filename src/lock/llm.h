@@ -44,7 +44,6 @@ class FINELOG_SHARED_STATE_CLASS LocalLockManager {
 
   struct Entry {
     LockMode mode = LockMode::kShared;
-    bool known_to_server = false;  // Explicit (in GLM) vs implicit.
     std::set<TxnId> readers;
     std::set<TxnId> writers;
 
@@ -60,8 +59,7 @@ class FINELOG_SHARED_STATE_CLASS LocalLockManager {
   Acquire TryAcquireObject(TxnId txn, ObjectId oid, LockMode mode);
   Acquire TryAcquirePage(TxnId txn, PageId pid, LockMode mode);
 
-  // Installs a lock granted by the server (known_to_server = true) and
-  // registers `txn` as a user.
+  // Installs a lock granted by the server and registers `txn` as a user.
   void AddObjectLock(TxnId txn, ObjectId oid, LockMode mode);
   void AddPageLock(TxnId txn, PageId pid, LockMode mode);
 
@@ -90,24 +88,23 @@ class FINELOG_SHARED_STATE_CLASS LocalLockManager {
 
   // Escalation support: number of objects on `pid` this client holds in X.
   size_t ExclusiveObjectCountOnPage(PageId pid) const;
+  // Page X callback support: true while a local transaction uses an object
+  // of `pid` that this client holds in X.
+  bool ExclusiveObjectInUseOnPage(PageId pid) const;
 
   // Queries ------------------------------------------------------------------
 
   bool CoversObject(ObjectId oid, LockMode mode) const;
   bool CoversPage(PageId pid, LockMode mode) const;
   bool HasAnyLockOnPage(PageId pid) const;
-  bool HoldsExplicitObject(ObjectId oid, LockMode mode) const;
 
   // Snapshot of all entries (for GLM reconstruction after a server crash,
-  // Section 3.4). Implicit entries are included; they become explicit.
+  // Section 3.4). Implicit entries are included.
   struct Snapshot {
     std::vector<std::pair<ObjectId, LockMode>> objects;
     std::vector<std::pair<PageId, LockMode>> pages;
   };
-  Snapshot GetSnapshot();
-
-  // All exclusively-held object ids (for shipping bookkeeping).
-  std::vector<ObjectId> ExclusiveObjects() const;
+  Snapshot GetSnapshot() const;
 
   // Client crash: the table is volatile.
   void Clear();

@@ -1,9 +1,13 @@
-// Lock modes for fine-granularity (object) and page locking.
+// Lock modes for fine-granularity (object) and page locking, and the
+// per-page view of an object-lock table.
 
 #ifndef FINELOG_LOCK_LOCK_MODE_H_
 #define FINELOG_LOCK_LOCK_MODE_H_
 
 #include <cstdint>
+#include <ranges>
+
+#include "common/types.h"
 
 namespace finelog {
 
@@ -23,6 +27,17 @@ inline bool Covers(LockMode held, LockMode wanted) {
 
 inline const char* LockModeName(LockMode m) {
   return m == LockMode::kShared ? "S" : "X";
+}
+
+// The entries of `table`, an ordered map keyed by ObjectId, that lie on page
+// `pid`. ObjectIds order by (page, slot), so they are one contiguous range
+// starting at slot 0; walking it costs what the page holds, not the table.
+template <typename ObjectTable>
+auto ObjectsOnPage(ObjectTable& table, PageId pid) {
+  return std::ranges::subrange(table.lower_bound(ObjectId{pid, 0}),
+                               table.end()) |
+         std::views::take_while(
+             [pid](const auto& entry) { return entry.first.page == pid; });
 }
 
 }  // namespace finelog

@@ -205,16 +205,9 @@ Status Server::WritePageToDisk(PageId pid, BufferPool::Frame& frame) {
       rpc_->Notify(e.client, wire::FlushNotify{},
                    [&] { cit->second->HandleFlushNotify(pid, e.psn); });
     }
-    bool holds_x = glm_.HoldsPage(e.client, pid, LockMode::kExclusive);
-    if (!holds_x) {
-      // Any exclusive object lock on the page keeps the entry alive.
-      for (const ObjectId& oid : glm_.ExclusiveObjectLocksOf(e.client)) {
-        if (oid.page == pid) {
-          holds_x = true;
-          break;
-        }
-      }
-    }
+    // Any exclusive object lock on the page keeps the entry alive.
+    bool holds_x = glm_.HoldsPage(e.client, pid, LockMode::kExclusive) ||
+                   glm_.HoldsExclusiveObjectOnPage(e.client, pid);
     // A page still owing lazy restart repair keeps every entry: the DCT PSN
     // is the redo baseline its pending log replay starts from, and nothing
     // proves the client's updates reached this (partially merged) image.
@@ -231,16 +224,11 @@ Status Server::CheckPageReachable(PageId pid, ClientId requester) {
   // requester has unflushed updates on it (a DCT entry) or still holds
   // exclusive locks covering it.
   auto blocks = [this, pid](ClientId c) {
-    if (dct_.Get(pid, c).has_value()) return true;
-    // GLM X locks of the unreachable client also block (client-crash only
+    // Its DCT entry blocks, and so do its GLM X locks (the client-crash-only
     // case where the GLM survived).
-    for (const ObjectId& oid : glm_.ExclusiveObjectLocksOf(c)) {
-      if (oid.page == pid) return true;
-    }
-    for (PageId p : glm_.ExclusivePageLocksOf(c)) {
-      if (p == pid) return true;
-    }
-    return false;
+    return dct_.Get(pid, c).has_value() ||
+           glm_.HoldsExclusiveObjectOnPage(c, pid) ||
+           glm_.HoldsPage(c, pid, LockMode::kExclusive);
   };
   for (ClientId c : crashed_clients_) {
     if (c == requester) continue;
@@ -738,12 +726,8 @@ Answer<wire::ReleaseLocks> Server::Handle(ClientId client,
   // Entries whose pages are already on disk can now leave the DCT (the
   // client renounced its update authority).
   for (const DctEntry& e : dct_.EntriesForClient(client)) {
-    bool still_locked = glm_.HoldsPage(client, e.page, LockMode::kShared);
-    if (!still_locked) {
-      for (const ObjectId& oid : glm_.ExclusiveObjectLocksOf(client)) {
-        if (oid.page == e.page) still_locked = true;
-      }
-    }
+    bool still_locked = glm_.HoldsPage(client, e.page, LockMode::kShared) ||
+                        glm_.HoldsExclusiveObjectOnPage(client, e.page);
     // A page still owing lazy restart repair keeps its entries -- the PSN
     // is the baseline the pending replay starts from -- so the recovery
     // state is consulted before the pool (recovery-guard discipline).
@@ -858,17 +842,9 @@ Status Server::DeallocatePage(PageId pid) {
   }
   for (const auto& [cid, ep] : clients_) {
     (void)ep;
-    if (!glm_.ExclusiveObjectLocksOf(cid).empty()) {
-      for (const ObjectId& oid : glm_.ExclusiveObjectLocksOf(cid)) {
-        if (oid.page == pid) {
-          return Status::FailedPrecondition("page is exclusively locked");
-        }
-      }
-    }
-    for (PageId p : glm_.ExclusivePageLocksOf(cid)) {
-      if (p == pid) {
-        return Status::FailedPrecondition("page is exclusively locked");
-      }
+    if (glm_.HoldsExclusiveObjectOnPage(cid, pid) ||
+        glm_.HoldsPage(cid, pid, LockMode::kExclusive)) {
+      return Status::FailedPrecondition("page is exclusively locked");
     }
   }
   Psn final_psn;

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <random>
+#include <set>
+#include <vector>
+
 #include "lock/glm.h"
 #include "lock/llm.h"
 
@@ -225,6 +231,310 @@ TEST(LlmTest, HasAnyLockOnPage) {
   EXPECT_TRUE(llm.HasAnyLockOnPage(PageId(1)));
   llm.ReleaseObject(kObj);
   EXPECT_FALSE(llm.HasAnyLockOnPage(PageId(1)));
+}
+
+// ---------------------------------------------------------------------------
+// Per-page queries against a brute-force reference
+// ---------------------------------------------------------------------------
+//
+// Both lock managers answer per-page questions from one range of their
+// (page, slot)-ordered object table. This test drives random operations over
+// pages 0-3, with slots at both ends of the slot space, and after every
+// operation compares each per-page answer with a filter over the whole
+// table: for the GLM, point lookups over every (client, object) of the key
+// space; for the LLM, a reference table the test keeps itself.
+
+constexpr uint32_t kRefPages = 4;
+constexpr uint32_t kRefClients = 3;
+constexpr SlotId kRefSlots[] = {0, 1, 2, 0xFFFE};
+
+LockMode RandomMode(std::mt19937& rng) {
+  return rng() % 2 == 0 ? LockMode::kShared : LockMode::kExclusive;
+}
+
+ObjectId RandomObject(std::mt19937& rng) {
+  return ObjectId{PageId(rng() % kRefPages), kRefSlots[rng() % 4]};
+}
+
+// Mode `client` holds on `oid` in the GLM, if any, read by point lookups.
+std::optional<LockMode> GlmObjectMode(const GlobalLockManager& glm,
+                                      ClientId client, ObjectId oid) {
+  if (glm.HoldsObject(client, oid, LockMode::kExclusive)) {
+    return LockMode::kExclusive;
+  }
+  if (glm.HoldsObject(client, oid, LockMode::kShared)) return LockMode::kShared;
+  return std::nullopt;
+}
+
+// What RequiredForPage must return: page-lock holders in client order, then
+// each object of the page in slot order with its holders in client order.
+std::vector<CallbackAction> ExpectedForPage(const GlobalLockManager& glm,
+                                            ClientId client, PageId pid,
+                                            LockMode mode) {
+  std::vector<CallbackAction> out;
+  for (uint32_t c = 0; c < kRefClients; ++c) {
+    ClientId holder(c);
+    if (holder == client) continue;
+    for (LockMode held : {LockMode::kExclusive, LockMode::kShared}) {
+      if (!glm.HoldsPage(holder, pid, held)) continue;
+      if (!Compatible(held, mode)) {
+        out.push_back(CallbackAction{CallbackAction::What::kDeescalatePage,
+                                     holder, ObjectId{}, pid, held, mode});
+      }
+      break;
+    }
+  }
+  for (uint32_t p = 0; p < kRefPages; ++p) {
+    for (SlotId slot : kRefSlots) {
+      ObjectId oid{PageId(p), slot};
+      if (oid.page != pid) continue;
+      for (uint32_t c = 0; c < kRefClients; ++c) {
+        ClientId holder(c);
+        auto held = GlmObjectMode(glm, holder, oid);
+        if (holder == client || !held || Compatible(*held, mode)) continue;
+        out.push_back(CallbackAction{
+            mode == LockMode::kShared ? CallbackAction::What::kDowngradeObject
+                                      : CallbackAction::What::kReleaseObject,
+            holder, oid, kInvalidPageId, *held, mode});
+      }
+    }
+  }
+  return out;
+}
+
+void ExpectSameActions(const std::vector<CallbackAction>& got,
+                       const std::vector<CallbackAction>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].what, want[i].what) << i;
+    EXPECT_EQ(got[i].target, want[i].target) << i;
+    EXPECT_EQ(got[i].object, want[i].object) << i;
+    EXPECT_EQ(got[i].page, want[i].page) << i;
+    EXPECT_EQ(got[i].holder_mode, want[i].holder_mode) << i;
+    EXPECT_EQ(got[i].requested, want[i].requested) << i;
+  }
+}
+
+void CheckGlmPages(const GlobalLockManager& glm) {
+  for (uint32_t p = 0; p < kRefPages; ++p) {
+    PageId pid(p);
+    for (uint32_t c = 0; c < kRefClients; ++c) {
+      ClientId client(c);
+      for (LockMode mode : {LockMode::kShared, LockMode::kExclusive}) {
+        ExpectSameActions(glm.RequiredForPage(client, pid, mode),
+                          ExpectedForPage(glm, client, pid, mode));
+      }
+      bool holds_x = false;
+      for (SlotId slot : kRefSlots) {
+        holds_x |= glm.HoldsObject(client, ObjectId{pid, slot},
+                                   LockMode::kExclusive);
+      }
+      EXPECT_EQ(glm.HoldsExclusiveObjectOnPage(client, pid), holds_x);
+    }
+  }
+}
+
+TEST(PageRangeReferenceTest, GlmPerPageQueriesMatchFullTableFilter) {
+  for (uint32_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937 rng(seed);
+    GlobalLockManager glm;
+    for (int op = 0; op < 2000; ++op) {
+      ClientId client(rng() % kRefClients);
+      ObjectId oid = RandomObject(rng);
+      switch (rng() % 8) {
+        case 0:
+        case 1:
+          glm.GrantObject(client, oid, RandomMode(rng));
+          break;
+        case 2:
+          glm.ReleaseObject(client, oid);
+          break;
+        case 3:
+          glm.DowngradeObject(client, oid);
+          break;
+        case 4:
+          glm.GrantPage(client, oid.page, RandomMode(rng));
+          break;
+        case 5:
+          if (rng() % 2 == 0) {
+            glm.ReleasePage(client, oid.page);
+          } else {
+            glm.DowngradePage(client, oid.page);
+          }
+          break;
+        case 6: {
+          std::vector<ObjectId> objects;
+          for (SlotId slot : kRefSlots) {
+            if (rng() % 2 == 0) objects.push_back(ObjectId{oid.page, slot});
+          }
+          glm.ApplyDeescalation(client, oid.page, objects, RandomMode(rng));
+          break;
+        }
+        case 7:
+          if (rng() % 8 == 0) glm.ReleaseSharedLocksOf(client);
+          break;
+      }
+      CheckGlmPages(glm);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+// The LLM reference: every entry with its users, filtered in full for each
+// per-page answer.
+struct RefEntry {
+  LockMode mode = LockMode::kShared;
+  std::set<TxnId> readers;
+  std::set<TxnId> writers;
+};
+
+struct RefLlm {
+  std::map<ObjectId, RefEntry> objects;
+  std::map<PageId, RefEntry> pages;
+
+  static bool Conflict(const RefEntry& e, TxnId txn, LockMode mode) {
+    for (TxnId t : e.writers) {
+      if (t != txn) return true;
+    }
+    if (mode == LockMode::kShared) return false;
+    for (TxnId t : e.readers) {
+      if (t != txn) return true;
+    }
+    return false;
+  }
+
+  static void Use(RefEntry* e, TxnId txn, LockMode mode) {
+    (mode == LockMode::kExclusive ? e->writers : e->readers).insert(txn);
+  }
+
+  static void Add(RefEntry* e, TxnId txn, LockMode mode) {
+    if (e->mode != LockMode::kExclusive) e->mode = mode;
+    Use(e, txn, mode);
+  }
+
+  void OnTxnEnd(TxnId txn) {
+    for (auto& [oid, e] : objects) {
+      e.readers.erase(txn);
+      e.writers.erase(txn);
+    }
+    for (auto& [pid, e] : pages) {
+      e.readers.erase(txn);
+      e.writers.erase(txn);
+    }
+  }
+
+  LocalLockManager::Acquire TryAcquirePage(TxnId txn, PageId pid,
+                                           LockMode mode) {
+    auto pit = pages.find(pid);
+    if (pit != pages.end()) {
+      if (Conflict(pit->second, txn, mode)) {
+        return LocalLockManager::Acquire::kLocalConflict;
+      }
+      if (Covers(pit->second.mode, mode)) {
+        Use(&pit->second, txn, mode);
+        return LocalLockManager::Acquire::kHit;
+      }
+    }
+    for (const auto& [oid, e] : objects) {
+      if (oid.page == pid && Conflict(e, txn, mode)) {
+        return LocalLockManager::Acquire::kLocalConflict;
+      }
+    }
+    return LocalLockManager::Acquire::kMiss;
+  }
+
+  std::vector<std::pair<ObjectId, LockMode>> Deescalate(PageId pid) {
+    std::vector<std::pair<ObjectId, LockMode>> out;
+    if (pages.erase(pid) == 0) return out;
+    for (const auto& [oid, e] : objects) {
+      if (oid.page == pid) out.emplace_back(oid, e.mode);
+    }
+    return out;
+  }
+};
+
+void CheckLlmPages(LocalLockManager& llm, RefLlm& ref) {
+  // The reference and the LLM hold the same table.
+  auto snap = llm.GetSnapshot();
+  ASSERT_EQ(snap.objects.size(), ref.objects.size());
+  ASSERT_EQ(snap.pages.size(), ref.pages.size());
+  for (const auto& [oid, mode] : snap.objects) {
+    ASSERT_EQ(ref.objects.count(oid), 1u);
+    ASSERT_EQ(ref.objects[oid].mode, mode);
+  }
+  for (uint32_t p = 0; p < kRefPages; ++p) {
+    PageId pid(p);
+    size_t x_count = 0;
+    bool any = ref.pages.count(pid) > 0;
+    bool x_in_use = false;
+    for (const auto& [oid, e] : ref.objects) {
+      if (oid.page != pid) continue;
+      any = true;
+      if (e.mode != LockMode::kExclusive) continue;
+      ++x_count;
+      x_in_use |= !e.readers.empty() || !e.writers.empty();
+    }
+    EXPECT_EQ(llm.ExclusiveObjectCountOnPage(pid), x_count);
+    EXPECT_EQ(llm.HasAnyLockOnPage(pid), any);
+    EXPECT_EQ(llm.ExclusiveObjectInUseOnPage(pid), x_in_use);
+    // A transaction with no uses yet; a hit registers it, so end it after.
+    const TxnId probe(1000);
+    for (LockMode mode : {LockMode::kShared, LockMode::kExclusive}) {
+      EXPECT_EQ(llm.TryAcquirePage(probe, pid, mode),
+                ref.TryAcquirePage(probe, pid, mode));
+      llm.OnTxnEnd(probe);
+      ref.OnTxnEnd(probe);
+    }
+  }
+}
+
+TEST(PageRangeReferenceTest, LlmPerPageQueriesMatchFullTableFilter) {
+  for (uint32_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937 rng(seed);
+    LocalLockManager llm;
+    RefLlm ref;
+    for (int op = 0; op < 2000; ++op) {
+      TxnId txn(1 + rng() % 4);
+      ObjectId oid = RandomObject(rng);
+      LockMode mode = RandomMode(rng);
+      switch (rng() % 8) {
+        case 0:
+        case 1:
+          llm.AddObjectLock(txn, oid, mode);
+          RefLlm::Add(&ref.objects[oid], txn, mode);
+          break;
+        case 2:
+          llm.AddPageLock(txn, oid.page, mode);
+          RefLlm::Add(&ref.pages[oid.page], txn, mode);
+          break;
+        case 3:
+          llm.ReleaseObject(oid);
+          ref.objects.erase(oid);
+          break;
+        case 4:
+          llm.ReleasePage(oid.page);
+          ref.pages.erase(oid.page);
+          break;
+        case 5:
+          llm.OnTxnEnd(txn);
+          ref.OnTxnEnd(txn);
+          break;
+        case 6:
+          EXPECT_EQ(llm.TryAcquirePage(txn, oid.page, mode),
+                    ref.TryAcquirePage(txn, oid.page, mode));
+          break;
+        case 7: {
+          auto got = llm.Deescalate(oid.page);
+          EXPECT_EQ(got, ref.Deescalate(oid.page));
+          break;
+        }
+      }
+      CheckLlmPages(llm, ref);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 }  // namespace

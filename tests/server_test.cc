@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <fstream>
 
 #include "core/system.h"
@@ -220,6 +222,50 @@ TEST_F(ServerTest, PageDeallocationRefusesUnreadablePage) {
   EXPECT_EQ(system_->server().DeallocatePage(pid).code(),
             StatusCode::kCorruption);
   EXPECT_TRUE(system_->server().space_map().IsAllocated(pid));
+}
+
+// Wall time of one page write to disk, the best of 5, while client 0 holds
+// X locks on `locks` objects. The write asks the GLM whether the client still
+// holds an X lock on the page; that must cost what the page holds, not what
+// the GLM holds. The locks go straight into the GLM: only its size matters.
+double BestPageWriteUs(uint32_t locks) {
+  auto sys = System::Create(SmallConfig("server_page_write_scale"));
+  EXPECT_TRUE(sys.ok()) << sys.status().ToString();
+  if (!sys.ok()) return 0;
+  System& system = *sys.value();
+  constexpr SlotId kSlotsPerPage = 64;
+  for (uint32_t i = 0; i < locks; ++i) {
+    system.server().glm().GrantObject(
+        ClientId(0),
+        ObjectId{PageId(1000 + i / kSlotsPerPage), SlotId(i % kSlotsPerPage)},
+        LockMode::kExclusive);
+  }
+  Client& c0 = system.client(0);
+  double best_us = 1e12;
+  for (int run = 0; run < 5; ++run) {
+    TxnId txn = c0.Begin().value();
+    EXPECT_TRUE(c0.Write(txn, ObjectId{PageId(1), 0},
+                         std::string(system.config().object_size, 'a' + run))
+                    .ok());
+    EXPECT_TRUE(c0.Commit(txn).ok());
+    EXPECT_TRUE(c0.ShipAllDirtyPages().ok());
+    auto start = std::chrono::steady_clock::now();
+    EXPECT_TRUE(system.server().FlushAllPages().ok());
+    std::chrono::duration<double, std::micro> took =
+        std::chrono::steady_clock::now() - start;
+    best_us = std::min(best_us, took.count());
+  }
+  // The client still holds its X lock, so the page keeps its DCT entry.
+  EXPECT_TRUE(system.server().dct().Get(PageId(1), ClientId(0)).has_value());
+  return best_us;
+}
+
+TEST(ServerScaleTest, PageWriteCostDoesNotGrowWithGlmSize) {
+  double small_us = BestPageWriteUs(128);
+  double large_us = BestPageWriteUs(16384);
+  EXPECT_LT(large_us, 10 * small_us)
+      << "128 locks: " << small_us << " us, 16384 locks: " << large_us
+      << " us";
 }
 
 }  // namespace
