@@ -36,12 +36,11 @@ class Clock {
   Clock& operator=(const Clock&) = delete;
   virtual ~Clock() = default;
 
-  // Microseconds since this clock's epoch (construction / last Reset).
+  // Microseconds since this clock's epoch (its construction).
   virtual uint64_t now_us() const = 0;
   // Charges `us` of modelled cost. Moves simulated time; free on a real
   // clock, where elapsed time is observed rather than modelled.
   virtual void Advance(uint64_t us) = 0;
-  virtual void Reset() = 0;
 };
 
 class SimClock final : public Clock {
@@ -50,7 +49,6 @@ class SimClock final : public Clock {
 
   uint64_t now_us() const override { return now_us_; }
   void Advance(uint64_t us) override { now_us_ += us; }
-  void Reset() override { now_us_ = 0; }
 
  private:
   uint64_t now_us_ = 0;
@@ -67,7 +65,6 @@ class RealClock final : public Clock {
             .count());
   }
   void Advance(uint64_t /*us*/) override {}
-  void Reset() override { epoch_ = std::chrono::steady_clock::now(); }
 
  private:
   std::chrono::steady_clock::time_point epoch_;

@@ -1,69 +1,76 @@
 #include "lock/llm.h"
 
+#include <algorithm>
+#include <optional>
+
 namespace finelog {
 
 namespace {
 
-// True if `txn` could not use the entry in `mode` because another local
-// transaction is using it incompatibly.
-bool LocalConflict(const LocalLockManager::Entry& e, TxnId txn, LockMode mode) {
-  if (mode == LockMode::kExclusive) {
-    for (TxnId t : e.readers) {
-      if (t != txn) return true;
-    }
-  }
-  for (TxnId t : e.writers) {
-    if (t != txn) return true;
+using Uses = LocalLockManager::Uses;
+using UseMap = std::map<TxnId, Uses>;
+
+// The table of a transaction's uses that holds keys of type `Key`.
+template <typename Key>
+using UseTable = std::map<Key, LockMode> Uses::*;
+
+// True if an open transaction other than `except` uses `key` in a mode that
+// conflicts with `mode`. Without `except`, every open transaction counts.
+template <typename Key>
+bool Conflict(const UseMap& uses, UseTable<Key> table, Key key, LockMode mode,
+              std::optional<TxnId> except = std::nullopt) {
+  for (const auto& [txn, u] : uses) {
+    if (txn == except) continue;
+    auto it = (u.*table).find(key);
+    if (it != (u.*table).end() && !Compatible(it->second, mode)) return true;
   }
   return false;
 }
 
-void RegisterUse(LocalLockManager::Entry* e, TxnId txn, LockMode mode) {
-  if (mode == LockMode::kExclusive) {
-    e->writers.insert(txn);
-  } else {
-    e->readers.insert(txn);
-  }
+template <typename Key>
+void RegisterUse(UseMap* uses, UseTable<Key> table, Key key, TxnId txn,
+                 LockMode mode) {
+  LockMode& used = ((*uses)[txn].*table)[key];
+  used = std::max(used, mode);
+}
+
+// A use never outlives its entry: erasing an entry drops every use of it.
+template <typename Key>
+void DropUses(UseMap* uses, UseTable<Key> table, Key key) {
+  for (auto& entry : *uses) (entry.second.*table).erase(key);
 }
 
 }  // namespace
-
-LocalLockManager::Entry* LocalLockManager::FindObject(ObjectId oid) {
-  auto it = object_locks_.find(oid);
-  return it == object_locks_.end() ? nullptr : &it->second;
-}
-const LocalLockManager::Entry* LocalLockManager::FindObject(ObjectId oid) const {
-  auto it = object_locks_.find(oid);
-  return it == object_locks_.end() ? nullptr : &it->second;
-}
 
 LocalLockManager::Acquire LocalLockManager::TryAcquireObject(TxnId txn,
                                                              ObjectId oid,
                                                              LockMode mode) {
   SimMutexLock lock(mu_);
-  Entry* e = FindObject(oid);
-  if (e != nullptr && Covers(e->mode, mode)) {
-    if (LocalConflict(*e, txn, mode)) return Acquire::kLocalConflict;
-    RegisterUse(e, txn, mode);
+  auto it = object_locks_.find(oid);
+  if (it != object_locks_.end() && Covers(it->second, mode)) {
+    if (Conflict(uses_, &Uses::objects, oid, mode, txn)) {
+      return Acquire::kLocalConflict;
+    }
+    RegisterUse(&uses_, &Uses::objects, oid, txn, mode);
     return Acquire::kHit;
   }
   // Check page-level coverage.
   auto pit = page_locks_.find(oid.page);
-  if (pit != page_locks_.end() && Covers(pit->second.mode, mode)) {
-    if (LocalConflict(pit->second, txn, mode)) return Acquire::kLocalConflict;
-    if (e != nullptr && LocalConflict(*e, txn, mode)) {
+  if (pit != page_locks_.end() && Covers(pit->second, mode)) {
+    if (Conflict(uses_, &Uses::pages, oid.page, mode, txn) ||
+        Conflict(uses_, &Uses::objects, oid, mode, txn)) {
       return Acquire::kLocalConflict;
     }
-    // Record an implicit object entry under the page lock.
-    Entry& imp = object_locks_[oid];
-    if (e == nullptr || mode == LockMode::kExclusive) imp.mode = mode;
-    RegisterUse(&imp, txn, mode);
+    // Record an implicit object entry under the page lock. An entry already
+    // here was S (it did not cover), so the request is X and raises it.
+    object_locks_[oid] = mode;
+    RegisterUse(&uses_, &Uses::objects, oid, txn, mode);
     return Acquire::kHit;
   }
   // Local upgrade path or plain miss: if another local transaction is using
   // the current entry incompatibly with the upgrade, report the conflict
   // now rather than involving the server.
-  if (e != nullptr && LocalConflict(*e, txn, mode)) {
+  if (Conflict(uses_, &Uses::objects, oid, mode, txn)) {
     return Acquire::kLocalConflict;
   }
   return Acquire::kMiss;
@@ -73,105 +80,96 @@ LocalLockManager::Acquire LocalLockManager::TryAcquirePage(TxnId txn,
                                                            PageId pid,
                                                            LockMode mode) {
   SimMutexLock lock(mu_);
-  auto pit = page_locks_.find(pid);
-  if (pit != page_locks_.end() && Covers(pit->second.mode, mode)) {
-    if (LocalConflict(pit->second, txn, mode)) return Acquire::kLocalConflict;
-    RegisterUse(&pit->second, txn, mode);
-    return Acquire::kHit;
-  }
-  if (pit != page_locks_.end() && LocalConflict(pit->second, txn, mode)) {
+  if (Conflict(uses_, &Uses::pages, pid, mode, txn)) {
     return Acquire::kLocalConflict;
   }
-  // A page request also conflicts with other local transactions' object
-  // locks on the page.
-  for (const auto& [oid, entry] : ObjectsOnPage(object_locks_, pid)) {
-    if (LocalConflict(entry, txn, mode)) return Acquire::kLocalConflict;
+  auto pit = page_locks_.find(pid);
+  if (pit != page_locks_.end() && Covers(pit->second, mode)) {
+    RegisterUse(&uses_, &Uses::pages, pid, txn, mode);
+    return Acquire::kHit;
+  }
+  // A page request also conflicts with other local transactions' uses of
+  // objects on the page.
+  for (const auto& [other, u] : uses_) {
+    if (other == txn) continue;
+    for (const auto& [oid, used] : ObjectsOnPage(u.objects, pid)) {
+      if (!Compatible(used, mode)) return Acquire::kLocalConflict;
+    }
   }
   return Acquire::kMiss;
 }
 
 void LocalLockManager::AddObjectLock(TxnId txn, ObjectId oid, LockMode mode) {
   SimMutexLock lock(mu_);
-  Entry& e = object_locks_[oid];
-  if (e.mode != LockMode::kExclusive) e.mode = mode;
-  RegisterUse(&e, txn, mode);
+  LockMode& held = object_locks_[oid];
+  held = std::max(held, mode);
+  RegisterUse(&uses_, &Uses::objects, oid, txn, mode);
 }
 
 void LocalLockManager::AddPageLock(TxnId txn, PageId pid, LockMode mode) {
   SimMutexLock lock(mu_);
-  Entry& e = page_locks_[pid];
-  if (e.mode != LockMode::kExclusive) e.mode = mode;
-  RegisterUse(&e, txn, mode);
+  LockMode& held = page_locks_[pid];
+  held = std::max(held, mode);
+  RegisterUse(&uses_, &Uses::pages, pid, txn, mode);
 }
 
 void LocalLockManager::OnTxnEnd(TxnId txn) {
   SimMutexLock lock(mu_);
-  for (auto& [oid, e] : object_locks_) {
-    (void)oid;
-    e.readers.erase(txn);
-    e.writers.erase(txn);
-  }
-  for (auto& [pid, e] : page_locks_) {
-    (void)pid;
-    e.readers.erase(txn);
-    e.writers.erase(txn);
-  }
+  uses_.erase(txn);
 }
 
 bool LocalLockManager::CanReleaseObject(ObjectId oid) const {
   SimMutexLock lock(mu_);
-  const Entry* e = FindObject(oid);
-  return e == nullptr || !e->InUse();
+  return !Conflict(uses_, &Uses::objects, oid, LockMode::kExclusive);
 }
 
 bool LocalLockManager::CanDowngradeObject(ObjectId oid) const {
   SimMutexLock lock(mu_);
-  const Entry* e = FindObject(oid);
-  return e == nullptr || e->writers.empty();
+  return !Conflict(uses_, &Uses::objects, oid, LockMode::kShared);
 }
 
 bool LocalLockManager::CanDeescalatePage(PageId pid) const {
   SimMutexLock lock(mu_);
-  auto pit = page_locks_.find(pid);
-  // Structural updates register the transaction as a writer of the page
+  // Structural updates register the transaction as an X user of the page
   // lock; de-escalation must wait for them.
-  return pit == page_locks_.end() || pit->second.writers.empty();
+  return !Conflict(uses_, &Uses::pages, pid, LockMode::kShared);
 }
 
 void LocalLockManager::ReleaseObject(ObjectId oid) {
   SimMutexLock lock(mu_);
   object_locks_.erase(oid);
+  DropUses(&uses_, &Uses::objects, oid);
 }
 
 void LocalLockManager::DowngradeObject(ObjectId oid) {
   SimMutexLock lock(mu_);
-  Entry* e = FindObject(oid);
-  if (e != nullptr) e->mode = LockMode::kShared;
+  auto it = object_locks_.find(oid);
+  if (it != object_locks_.end()) it->second = LockMode::kShared;
 }
 
 void LocalLockManager::ReleasePage(PageId pid) {
   SimMutexLock lock(mu_);
   page_locks_.erase(pid);
+  DropUses(&uses_, &Uses::pages, pid);
 }
 
 void LocalLockManager::DowngradePage(PageId pid) {
   SimMutexLock lock(mu_);
   auto pit = page_locks_.find(pid);
-  if (pit != page_locks_.end()) pit->second.mode = LockMode::kShared;
+  if (pit != page_locks_.end()) pit->second = LockMode::kShared;
 }
 
 std::vector<std::pair<ObjectId, LockMode>> LocalLockManager::Deescalate(
     PageId pid) {
   SimMutexLock lock(mu_);
   std::vector<std::pair<ObjectId, LockMode>> promoted;
-  auto pit = page_locks_.find(pid);
-  if (pit == page_locks_.end()) return promoted;
-  // Readers of the page lock become readers of... nothing specific: a page
-  // read under a page-S lock did not touch identified objects. Object
-  // accesses made implicit entries below, which carry the users.
-  page_locks_.erase(pit);
-  for (const auto& [oid, e] : ObjectsOnPage(object_locks_, pid)) {
-    promoted.emplace_back(oid, e.mode);
+  if (page_locks_.erase(pid) == 0) return promoted;
+  // Uses of the page lock end with it: a page read under a page-S lock did
+  // not touch identified objects. Object accesses made implicit entries
+  // below, which keep their uses.
+  DropUses(&uses_, &Uses::pages, pid);
+  for (const auto& [oid, held] : ObjectsOnPage(object_locks_, pid)) {
+    promoted.emplace_back(oid, held);
   }
   return promoted;
 }
@@ -179,32 +177,34 @@ std::vector<std::pair<ObjectId, LockMode>> LocalLockManager::Deescalate(
 size_t LocalLockManager::ExclusiveObjectCountOnPage(PageId pid) const {
   SimMutexLock lock(mu_);
   size_t n = 0;
-  for (const auto& [oid, e] : ObjectsOnPage(object_locks_, pid)) {
-    if (e.mode == LockMode::kExclusive) ++n;
+  for (const auto& [oid, held] : ObjectsOnPage(object_locks_, pid)) {
+    if (held == LockMode::kExclusive) ++n;
   }
   return n;
 }
 
 bool LocalLockManager::ExclusiveObjectInUseOnPage(PageId pid) const {
   SimMutexLock lock(mu_);
-  for (const auto& [oid, e] : ObjectsOnPage(object_locks_, pid)) {
-    if (e.mode == LockMode::kExclusive && e.InUse()) return true;
+  for (const auto& [txn, u] : uses_) {
+    for (const auto& [oid, used] : ObjectsOnPage(u.objects, pid)) {
+      if (object_locks_.at(oid) == LockMode::kExclusive) return true;
+    }
   }
   return false;
 }
 
 bool LocalLockManager::CoversObject(ObjectId oid, LockMode mode) const {
   SimMutexLock lock(mu_);
-  const Entry* e = FindObject(oid);
-  if (e != nullptr && Covers(e->mode, mode)) return true;
+  auto it = object_locks_.find(oid);
+  if (it != object_locks_.end() && Covers(it->second, mode)) return true;
   auto pit = page_locks_.find(oid.page);
-  return pit != page_locks_.end() && Covers(pit->second.mode, mode);
+  return pit != page_locks_.end() && Covers(pit->second, mode);
 }
 
 bool LocalLockManager::CoversPage(PageId pid, LockMode mode) const {
   SimMutexLock lock(mu_);
   auto pit = page_locks_.find(pid);
-  return pit != page_locks_.end() && Covers(pit->second.mode, mode);
+  return pit != page_locks_.end() && Covers(pit->second, mode);
 }
 
 bool LocalLockManager::HasAnyLockOnPage(PageId pid) const {
@@ -216,12 +216,8 @@ bool LocalLockManager::HasAnyLockOnPage(PageId pid) const {
 LocalLockManager::Snapshot LocalLockManager::GetSnapshot() const {
   SimMutexLock lock(mu_);
   Snapshot snap;
-  for (const auto& [oid, e] : object_locks_) {
-    snap.objects.emplace_back(oid, e.mode);
-  }
-  for (const auto& [pid, e] : page_locks_) {
-    snap.pages.emplace_back(pid, e.mode);
-  }
+  snap.objects.assign(object_locks_.begin(), object_locks_.end());
+  snap.pages.assign(page_locks_.begin(), page_locks_.end());
   return snap;
 }
 
@@ -229,6 +225,7 @@ void LocalLockManager::Clear() {
   SimMutexLock lock(mu_);
   object_locks_.clear();
   page_locks_.clear();
+  uses_.clear();
 }
 
 }  // namespace finelog

@@ -6,8 +6,12 @@
 // server interaction. A lock request that cannot be satisfied locally is a
 // *miss* and must be forwarded to the server's GLM.
 //
-// Entries track active readers and writers separately so that incoming
-// callbacks can be evaluated:
+// A cached lock is only its mode. What local transactions use is kept per
+// open transaction: the objects and pages it registered on, each in the
+// strongest mode it asked for. A transaction's end drops its uses at once,
+// at the cost of what it touched rather than of the table; releasing or
+// de-escalating an entry drops every use of it. Incoming callbacks are
+// evaluated against the uses:
 //   - a release callback (remote X request) is denied while any local
 //     transaction actively uses the object;
 //   - a downgrade callback (remote S request) is denied only while a local
@@ -25,7 +29,6 @@
 #define FINELOG_LOCK_LLM_H_
 
 #include <map>
-#include <set>
 #include <vector>
 
 #include "common/annotations.h"
@@ -42,12 +45,10 @@ class FINELOG_SHARED_STATE_CLASS LocalLockManager {
     kLocalConflict, // Conflicts with another local transaction.
   };
 
-  struct Entry {
-    LockMode mode = LockMode::kShared;
-    std::set<TxnId> readers;
-    std::set<TxnId> writers;
-
-    bool InUse() const { return !readers.empty() || !writers.empty(); }
+  // What one open transaction uses, each key in the strongest mode asked.
+  struct Uses {
+    std::map<ObjectId, LockMode> objects;
+    std::map<PageId, LockMode> pages;
   };
 
   LocalLockManager() = default;
@@ -115,12 +116,11 @@ class FINELOG_SHARED_STATE_CLASS LocalLockManager {
   }
 
  private:
-  Entry* FindObject(ObjectId oid) FINELOG_REQUIRES(mu_);
-  const Entry* FindObject(ObjectId oid) const FINELOG_REQUIRES(mu_);
-
   mutable SimMutex mu_;
-  std::map<ObjectId, Entry> object_locks_ FINELOG_GUARDED_BY(mu_);
-  std::map<PageId, Entry> page_locks_ FINELOG_GUARDED_BY(mu_);
+  std::map<ObjectId, LockMode> object_locks_ FINELOG_GUARDED_BY(mu_);
+  std::map<PageId, LockMode> page_locks_ FINELOG_GUARDED_BY(mu_);
+  // Open transactions only: OnTxnEnd erases the transaction's entry.
+  std::map<TxnId, Uses> uses_ FINELOG_GUARDED_BY(mu_);
 };
 
 }  // namespace finelog

@@ -21,13 +21,6 @@ uint64_t Rpc::session_epoch(RpcDir dir, ClientId peer) const {
   return it == sessions.end() ? 0 : it->second.epoch;
 }
 
-uint64_t Rpc::session_last_executed(RpcDir dir, ClientId peer) const {
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  const auto& sessions = sessions_[static_cast<size_t>(dir)];
-  auto it = sessions.find(peer);
-  return it == sessions.end() ? 0 : it->second.last_executed;
-}
-
 void Rpc::PumpGhosts() {
   // Delivering a ghost counts a message, which can make further ghosts due;
   // the queue only ever shrinks here because ghost delivery is terminal.

@@ -140,7 +140,6 @@ class Rpc {
 
   // Test introspection.
   uint64_t session_epoch(RpcDir dir, ClientId peer) const;
-  uint64_t session_last_executed(RpcDir dir, ClientId peer) const;
   size_t ghost_count() const { return ghosts_.size(); }
 
  private:

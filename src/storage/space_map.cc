@@ -118,12 +118,4 @@ uint32_t SpaceMap::allocated_count() const {
   return n;
 }
 
-std::vector<PageId> SpaceMap::AllocatedPages() const {
-  std::vector<PageId> out;
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].allocated) out.push_back(PageId(static_cast<uint32_t>(i)));
-  }
-  return out;
-}
-
 }  // namespace finelog

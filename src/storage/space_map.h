@@ -58,9 +58,6 @@ class SpaceMap {
   uint32_t num_pages() const { return static_cast<uint32_t>(entries_.size()); }
   uint32_t allocated_count() const;
 
-  // All currently allocated page ids.
-  std::vector<PageId> AllocatedPages() const;
-
  private:
   struct Entry {
     bool allocated = false;

@@ -44,12 +44,6 @@ void FaultInjector::Disarm() {
   armed_.reset();
 }
 
-uint64_t FaultInjector::hits(const std::string& point) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = hits_.find(point);
-  return it == hits_.end() ? 0 : it->second;
-}
-
 void FaultInjector::ResetCounts() {
   std::lock_guard<std::mutex> lock(mu_);
   total_hits_.store(0, std::memory_order_relaxed);

@@ -106,7 +106,6 @@ class FaultInjector {
   uint64_t total_hits() const {
     return total_hits_.load(std::memory_order_relaxed);
   }
-  uint64_t hits(const std::string& point) const;
   // Harness-side view; callers read it only after concurrent I/O quiesces.
   const std::map<std::string, uint64_t>& hit_counts() const { return hits_; }
 

@@ -223,12 +223,6 @@ class Metrics {
     return out;
   }
 
-  void Reset() {
-    for (auto& slot : dense_) slot.store(0, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(dynamic_mu_);
-    dynamic_.clear();
-  }
-
   // Snapshot for before/after diffing in benchmarks.
   std::map<std::string, uint64_t> Snapshot() const { return counters(); }
 

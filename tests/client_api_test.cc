@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+
 #include "core/system.h"
 #include "tests/test_util.h"
 
@@ -257,6 +260,49 @@ TEST_F(ClientApiTest, PageAllocationExhaustion) {
   EXPECT_EQ(c.AllocatePage(txn).status().code(),
             StatusCode::kFailedPrecondition);
   ASSERT_TRUE(c.Commit(txn).ok());
+}
+
+// Wall time of one one-write transaction's commit, the best of 5, while
+// client 0 caches S locks on `locks` objects with no users. Commit ends the
+// transaction in the LLM; that must cost what the transaction used, not what
+// the cache holds. The locks go straight into the LLM: only its size matters.
+double BestCommitUs(uint32_t locks) {
+  auto sys = System::Create(SmallConfig("client_commit_scale"));
+  EXPECT_TRUE(sys.ok()) << sys.status().ToString();
+  if (!sys.ok()) return 0;
+  System& system = *sys.value();
+  Client& c0 = system.client(0);
+  constexpr SlotId kSlotsPerPage = 8;
+  const TxnId filler(1);
+  for (uint32_t i = 0; i < locks; ++i) {
+    c0.llm().AddObjectLock(
+        filler,
+        ObjectId{PageId(1000 + i / kSlotsPerPage), SlotId(i % kSlotsPerPage)},
+        LockMode::kShared);
+  }
+  c0.llm().OnTxnEnd(filler);
+  double best_us = 1e12;
+  for (int run = 0; run < 5; ++run) {
+    TxnId txn = c0.Begin().value();
+    EXPECT_TRUE(c0.Write(txn, ObjectId{PageId(1), 0},
+                         std::string(system.config().object_size, 'a' + run))
+                    .ok());
+    auto start = std::chrono::steady_clock::now();
+    EXPECT_TRUE(c0.Commit(txn).ok());
+    std::chrono::duration<double, std::micro> took =
+        std::chrono::steady_clock::now() - start;
+    best_us = std::min(best_us, took.count());
+  }
+  EXPECT_GE(c0.llm().size(), locks);  // The cached locks stay.
+  return best_us;
+}
+
+TEST(ClientScaleTest, CommitCostDoesNotGrowWithLlmSize) {
+  double small_us = BestCommitUs(128);
+  double large_us = BestCommitUs(16384);
+  EXPECT_LT(large_us, 10 * small_us)
+      << "128 locks: " << small_us << " us, 16384 locks: " << large_us
+      << " us";
 }
 
 }  // namespace

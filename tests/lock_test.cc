@@ -382,7 +382,8 @@ TEST(PageRangeReferenceTest, GlmPerPageQueriesMatchFullTableFilter) {
 }
 
 // The LLM reference: every entry with its users, filtered in full for each
-// per-page answer.
+// per-page answer. It keeps the users on the entries, so erasing an entry
+// drops them with it.
 struct RefEntry {
   LockMode mode = LockMode::kShared;
   std::set<TxnId> readers;
@@ -413,6 +414,10 @@ struct RefLlm {
     Use(e, txn, mode);
   }
 
+  static bool InUse(const RefEntry& e) {
+    return !e.readers.empty() || !e.writers.empty();
+  }
+
   void OnTxnEnd(TxnId txn) {
     for (auto& [oid, e] : objects) {
       e.readers.erase(txn);
@@ -422,6 +427,49 @@ struct RefLlm {
       e.readers.erase(txn);
       e.writers.erase(txn);
     }
+  }
+
+  LocalLockManager::Acquire TryAcquireObject(TxnId txn, ObjectId oid,
+                                             LockMode mode) {
+    auto it = objects.find(oid);
+    const bool held = it != objects.end();
+    if (held && Covers(it->second.mode, mode)) {
+      if (Conflict(it->second, txn, mode)) {
+        return LocalLockManager::Acquire::kLocalConflict;
+      }
+      Use(&it->second, txn, mode);
+      return LocalLockManager::Acquire::kHit;
+    }
+    auto pit = pages.find(oid.page);
+    if (pit != pages.end() && Covers(pit->second.mode, mode)) {
+      if (Conflict(pit->second, txn, mode) ||
+          (held && Conflict(it->second, txn, mode))) {
+        return LocalLockManager::Acquire::kLocalConflict;
+      }
+      RefEntry& implicit = objects[oid];
+      if (!held || mode == LockMode::kExclusive) implicit.mode = mode;
+      Use(&implicit, txn, mode);
+      return LocalLockManager::Acquire::kHit;
+    }
+    if (held && Conflict(it->second, txn, mode)) {
+      return LocalLockManager::Acquire::kLocalConflict;
+    }
+    return LocalLockManager::Acquire::kMiss;
+  }
+
+  bool CanReleaseObject(ObjectId oid) const {
+    auto it = objects.find(oid);
+    return it == objects.end() || !InUse(it->second);
+  }
+
+  bool CanDowngradeObject(ObjectId oid) const {
+    auto it = objects.find(oid);
+    return it == objects.end() || it->second.writers.empty();
+  }
+
+  bool CanDeescalatePage(PageId pid) const {
+    auto it = pages.find(pid);
+    return it == pages.end() || it->second.writers.empty();
   }
 
   LocalLockManager::Acquire TryAcquirePage(TxnId txn, PageId pid,
@@ -473,11 +521,12 @@ void CheckLlmPages(LocalLockManager& llm, RefLlm& ref) {
       any = true;
       if (e.mode != LockMode::kExclusive) continue;
       ++x_count;
-      x_in_use |= !e.readers.empty() || !e.writers.empty();
+      x_in_use |= RefLlm::InUse(e);
     }
     EXPECT_EQ(llm.ExclusiveObjectCountOnPage(pid), x_count);
     EXPECT_EQ(llm.HasAnyLockOnPage(pid), any);
     EXPECT_EQ(llm.ExclusiveObjectInUseOnPage(pid), x_in_use);
+    EXPECT_EQ(llm.CanDeescalatePage(pid), ref.CanDeescalatePage(pid));
     // A transaction with no uses yet; a hit registers it, so end it after.
     const TxnId probe(1000);
     for (LockMode mode : {LockMode::kShared, LockMode::kExclusive}) {
@@ -485,6 +534,32 @@ void CheckLlmPages(LocalLockManager& llm, RefLlm& ref) {
                 ref.TryAcquirePage(probe, pid, mode));
       llm.OnTxnEnd(probe);
       ref.OnTxnEnd(probe);
+    }
+    for (SlotId slot : kRefSlots) {
+      SCOPED_TRACE(::testing::Message() << "page " << p << " slot " << slot);
+      ObjectId oid{pid, slot};
+      EXPECT_EQ(llm.CanReleaseObject(oid), ref.CanReleaseObject(oid));
+      EXPECT_EQ(llm.CanDowngradeObject(oid), ref.CanDowngradeObject(oid));
+      // The probe takes the hit, page-cover or miss path. A page-cover hit
+      // leaves an implicit entry (or raises an S one to X); undo it so the
+      // probes do not steer the random walk.
+      for (LockMode mode : {LockMode::kShared, LockMode::kExclusive}) {
+        auto before = ref.objects.find(oid);
+        std::optional<LockMode> had;
+        if (before != ref.objects.end()) had = before->second.mode;
+        EXPECT_EQ(llm.TryAcquireObject(probe, oid, mode),
+                  ref.TryAcquireObject(probe, oid, mode))
+            << LockModeName(mode);
+        llm.OnTxnEnd(probe);
+        ref.OnTxnEnd(probe);
+        if (!had && ref.objects.count(oid) > 0) {
+          llm.ReleaseObject(oid);
+          ref.objects.erase(oid);
+        } else if (had && *had != ref.objects[oid].mode) {
+          llm.DowngradeObject(oid);
+          ref.objects[oid].mode = *had;
+        }
+      }
     }
   }
 }
@@ -499,7 +574,7 @@ TEST(PageRangeReferenceTest, LlmPerPageQueriesMatchFullTableFilter) {
       TxnId txn(1 + rng() % 4);
       ObjectId oid = RandomObject(rng);
       LockMode mode = RandomMode(rng);
-      switch (rng() % 8) {
+      switch (rng() % 10) {
         case 0:
         case 1:
           llm.AddObjectLock(txn, oid, mode);
@@ -530,6 +605,23 @@ TEST(PageRangeReferenceTest, LlmPerPageQueriesMatchFullTableFilter) {
           EXPECT_EQ(got, ref.Deescalate(oid.page));
           break;
         }
+        case 8:
+          EXPECT_EQ(llm.TryAcquireObject(txn, oid, mode),
+                    ref.TryAcquireObject(txn, oid, mode));
+          break;
+        case 9:
+          if (rng() % 2 == 0) {
+            llm.DowngradeObject(oid);
+            if (ref.objects.count(oid) > 0) {
+              ref.objects[oid].mode = LockMode::kShared;
+            }
+          } else {
+            llm.DowngradePage(oid.page);
+            if (ref.pages.count(oid.page) > 0) {
+              ref.pages[oid.page].mode = LockMode::kShared;
+            }
+          }
+          break;
       }
       CheckLlmPages(llm, ref);
       if (::testing::Test::HasFailure()) return;
